@@ -41,7 +41,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"slices"
 	"strings"
@@ -52,7 +51,6 @@ import (
 	"mstadvice/internal/core"
 	"mstadvice/internal/dynamic"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/problem"
 	"mstadvice/internal/replica"
 	"mstadvice/internal/report"
@@ -65,7 +63,7 @@ func main() {
 		schemeName  = flag.String("scheme", "", "scheme: trivial | oneround | core | core-adaptive | localgather | noadvice | pipeline | mst-hier-lL | topo-flood[-rK] | topo-direct (default: the problem's canonical scheme)")
 		family      = flag.String("family", "random", "graph family (see -list)")
 		n           = flag.Int("n", 64, "approximate node count")
-		seed        = flag.Int64("seed", 1, "generator seed")
+		seed        = flag.Uint64("seed", 1, "generator seed")
 		root        = flag.Int("root", 0, "designated root node")
 		weights     = flag.String("weights", "distinct", "weight mode: distinct | random | unit")
 		all         = flag.Bool("all", false, "run every scheme on the graph and print a comparison table")
@@ -98,8 +96,8 @@ func main() {
 			}
 		}
 		fmt.Println("families:")
-		for _, f := range gen.Families() {
-			fmt.Printf("  %s\n", f.Name)
+		for _, name := range mstadvice.GenFamilyNames() {
+			fmt.Printf("  %s\n", name)
 		}
 		return
 	}
@@ -131,10 +129,6 @@ func main() {
 			fail("%v (try -list)", err)
 		}
 		scheme = prob.Scheme()
-	}
-	fam, err := gen.ByName(*family)
-	if err != nil {
-		fail("%v", err)
 	}
 	var mode mstadvice.WeightMode
 	switch *weights {
@@ -177,7 +171,7 @@ func main() {
 			*loadPath, prob.Name(), g.N(), g.M(), snap.Root, adviceNote(snap), time.Since(start).Round(time.Millisecond))
 	} else {
 		var err error
-		g, err = fam.Generate(*n, rand.New(rand.NewSource(*seed)), gen.Options{Weights: mode})
+		g, err = mstadvice.GenSeeded(*family, *n, *seed, mstadvice.GenOptions{Weights: mode})
 		if err != nil {
 			fail("%v", err)
 		}
@@ -362,7 +356,7 @@ func queryEndpoints(spec, id string, node int) {
 
 // printSensitivity renders the per-edge tolerance analysis: aggregate
 // statistics plus the most fragile edges on either side of the MST.
-func printSensitivity(g *mstadvice.Graph, family string, mode mstadvice.WeightMode, seed int64) {
+func printSensitivity(g *mstadvice.Graph, family string, mode mstadvice.WeightMode, seed uint64) {
 	sens, err := dynamic.Analyze(g)
 	if err != nil {
 		fail("%v", err)

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -292,21 +291,17 @@ func generateSpec(spec, probName string) (string, *store.Snapshot, error) {
 	if len(parts) < 2 || len(parts) > 3 {
 		return "", nil, fmt.Errorf("bad -graph %q (want id=family:n[:seed])", spec)
 	}
-	fam, err := gen.ByName(parts[0])
-	if err != nil {
-		return "", nil, err
-	}
 	n, err := strconv.Atoi(parts[1])
 	if err != nil {
 		return "", nil, fmt.Errorf("bad size in -graph %q: %w", spec, err)
 	}
-	seed := int64(1)
+	seed := uint64(1)
 	if len(parts) == 3 {
-		if seed, err = strconv.ParseInt(parts[2], 10, 64); err != nil {
+		if seed, err = strconv.ParseUint(parts[2], 10, 64); err != nil {
 			return "", nil, fmt.Errorf("bad seed in -graph %q: %w", spec, err)
 		}
 	}
-	g, err := fam.Generate(n, rand.New(rand.NewSource(seed)), gen.Options{})
+	g, err := gen.BuildSeeded(parts[0], n, seed, gen.SeededOptions{})
 	if err != nil {
 		return "", nil, err
 	}

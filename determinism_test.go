@@ -1,7 +1,6 @@
 package mstadvice
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -16,9 +15,9 @@ func TestSchemesDeterministicAcrossWorkers(t *testing.T) {
 		name string
 		g    *Graph
 	}{
-		{"random", GenRandomConnected(60, 150, rand.New(rand.NewSource(21)), GenOptions{})},
-		{"grid", GenGrid(6, 7, rand.New(rand.NewSource(22)), GenOptions{})},
-		{"expander", GenExpander(48, 3, rand.New(rand.NewSource(23)), GenOptions{})},
+		{"random", GenRandomConnected(60, 150, 21, GenOptions{})},
+		{"grid", GenGrid(6, 7, 22, GenOptions{})},
+		{"expander", mustGen("expander", 48, 23, GenOptions{})},
 	}
 	full := runtime.GOMAXPROCS(0)
 	if full < 2 {

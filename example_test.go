@@ -2,7 +2,6 @@ package mstadvice_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mstadvice"
 )
@@ -88,8 +87,7 @@ func ExampleNewLowerBoundFamily() {
 
 // ExampleGenRandomConnected generates a reproducible experiment graph.
 func ExampleGenRandomConnected() {
-	rng := rand.New(rand.NewSource(7))
-	g := mstadvice.GenRandomConnected(10, 20, rng, mstadvice.GenOptions{})
+	g := mstadvice.GenRandomConnected(10, 20, 7, mstadvice.GenOptions{})
 	fmt.Println(g.N(), g.M(), g.Connected())
 	// Output:
 	// 10 20 true
@@ -100,7 +98,7 @@ func ExampleGenRandomConnected() {
 // α-synchronizer, whose overhead is accounted separately while the
 // payload traffic stays byte-comparable to the synchronous run.
 func ExampleRun_async() {
-	g := mstadvice.GenRandomConnected(64, 192, rand.New(rand.NewSource(9)), mstadvice.GenOptions{})
+	g := mstadvice.GenRandomConnected(64, 192, 9, mstadvice.GenOptions{})
 	syncRes, err := mstadvice.Run(mstadvice.ConstantAdvice(), g, 0, mstadvice.RunOptions{})
 	if err != nil {
 		panic(err)

@@ -16,14 +16,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
 
 func main() {
 	const n = 128
-	g := mstadvice.GenRandomConnected(n, 3*n, rand.New(rand.NewSource(7)), mstadvice.GenOptions{})
+	g := mstadvice.GenRandomConnected(n, 3*n, 7, mstadvice.GenOptions{})
 	scheme := mstadvice.ConstantAdvice()
 
 	// The synchronous reference: the model the paper is stated in.

@@ -10,14 +10,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"mstadvice"
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(3))
-	g := mstadvice.GenRandomConnected(40, 110, rng, mstadvice.GenOptions{})
+	g := mstadvice.GenRandomConnected(40, 110, 3, mstadvice.GenOptions{})
 
 	// Step 1: construct the MST with 12 bits of advice per node.
 	res, err := mstadvice.Run(mstadvice.ConstantAdvice(), g, 0, mstadvice.RunOptions{})

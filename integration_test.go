@@ -9,8 +9,6 @@ package mstadvice
 import (
 	"math/rand"
 	"testing"
-
-	"mstadvice/internal/graph/gen"
 )
 
 // TestMatrixAllFamilies exercises all schemes on the full family zoo.
@@ -18,13 +16,9 @@ func TestMatrixAllFamilies(t *testing.T) {
 	families := []string{"path", "ring", "grid", "tree", "random", "expander",
 		"star", "caterpillar", "binarytree", "complete", "wheel", "lollipop"}
 	for _, fname := range families {
-		fam, err := gen.ByName(fname)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, mode := range []WeightMode{WeightsDistinct, WeightsUnit} {
 			rng := rand.New(rand.NewSource(int64(len(fname)) + int64(mode)*37))
-			g := fam.Build(24, rng, GenOptions{Weights: mode})
+			g := mustGen(fname, 24, rng.Uint64(), GenOptions{Weights: mode})
 			root := NodeID(rng.Intn(g.N()))
 			for _, s := range Schemes() {
 				res, err := Run(s, g, root, RunOptions{})
@@ -70,22 +64,22 @@ func TestMatrixOnGn(t *testing.T) {
 // and are much slower).
 func TestMatrixRandomSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260611))
-	families := gen.Families()
+	families := GenFamilyNames()
 	schemes := []Scheme{Trivial(), OneRound(), ConstantAdvice(), ConstantAdviceAdaptive()}
 	for trial := 0; trial < 120; trial++ {
 		fam := families[rng.Intn(len(families))]
 		n := 2 + rng.Intn(59)
 		mode := WeightMode(rng.Intn(3))
-		g := fam.Build(n, rng, GenOptions{Weights: mode})
+		g := mustGen(fam, n, rng.Uint64(), GenOptions{Weights: mode})
 		root := NodeID(rng.Intn(g.N()))
 		s := schemes[trial%len(schemes)]
 		res, err := Run(s, g, root, RunOptions{})
 		if err != nil {
-			t.Fatalf("trial %d: %s on %s n=%d mode=%v: %v", trial, s.Name(), fam.Name, g.N(), mode, err)
+			t.Fatalf("trial %d: %s on %s n=%d mode=%v: %v", trial, s.Name(), fam, g.N(), mode, err)
 		}
 		if !res.Verified || res.Root != root {
 			t.Fatalf("trial %d: %s on %s n=%d mode=%v: verified=%v root=%d/%d (%v)",
-				trial, s.Name(), fam.Name, g.N(), mode, res.Verified, res.Root, root, res.VerifyErr)
+				trial, s.Name(), fam, g.N(), mode, res.Verified, res.Root, root, res.VerifyErr)
 		}
 	}
 }
@@ -94,8 +88,7 @@ func TestMatrixRandomSweep(t *testing.T) {
 // the 12-bit scheme is logarithmic while both CONGEST baselines pay
 // linearly for the tail.
 func TestProfilesOnLollipop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := gen.Lollipop(120, rng, GenOptions{})
+	g := mustGen("lollipop", 120, 4, GenOptions{})
 	rounds := map[string]int{}
 	for _, name := range []string{"core", "noadvice", "pipeline"} {
 		s, _ := SchemeByName(name)
@@ -111,4 +104,14 @@ func TestProfilesOnLollipop(t *testing.T) {
 	if rounds["core"]*3 > rounds["noadvice"] || rounds["core"]*3 > rounds["pipeline"] {
 		t.Fatalf("separation missing on lollipop: %v", rounds)
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt GenOptions) *Graph {
+	g, err := GenSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -3,7 +3,6 @@ package advice
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/bitstring"
@@ -102,8 +101,7 @@ func (*stuckNode) Round(*sim.Ctx, *sim.NodeView, []sim.Received) []sim.Send { re
 func (*stuckNode) Output() (int, bool)                                      { return -1, false }
 
 func TestRunErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.Ring(5, rng, gen.Options{})
+	g := mustGen("ring", 5, 1, gen.SeededOptions{})
 	if _, err := Run(failingScheme{adviseErr: true}, g, 0, sim.Options{}); err == nil {
 		t.Fatal("oracle error not propagated")
 	}
@@ -132,8 +130,7 @@ func (*wrongNode) Round(*sim.Ctx, *sim.NodeView, []sim.Received) []sim.Send { re
 func (*wrongNode) Output() (int, bool)                                      { return 0, true } // everyone claims port 0
 
 func TestRunReportsVerificationFailure(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g := gen.Ring(5, rng, gen.Options{})
+	g := mustGen("ring", 5, 2, gen.SeededOptions{})
 	res, err := Run(wrongScheme{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +141,7 @@ func TestRunReportsVerificationFailure(t *testing.T) {
 }
 
 func TestRunCtxCanceledBeforeOracle(t *testing.T) {
-	g := gen.Path(16, rand.New(rand.NewSource(1)), gen.Options{})
+	g := mustGen("path", 16, 1, gen.SeededOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunCtx(ctx, core.Scheme{}, g, 0, sim.Options{}); !errors.Is(err, context.Canceled) {
@@ -159,7 +156,7 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 	// and the error chain carries the cause. Driving sim.Options.Context
 	// directly keeps the test deterministic — the engine sees the
 	// cancellation exactly at its first between-round check.
-	g := gen.RandomConnected(256, 512, rand.New(rand.NewSource(2)), gen.Options{})
+	g := gen.RandomConnected(256, 512, 2, gen.SeededOptions{})
 	simCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := RunCtx(context.Background(), core.Scheme{}, g, 0, sim.Options{Context: simCtx})
@@ -169,7 +166,7 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 }
 
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
-	g := gen.Ring(32, rand.New(rand.NewSource(3)), gen.Options{})
+	g := mustGen("ring", 32, 3, gen.SeededOptions{})
 	a, err := Run(core.Scheme{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -181,4 +178,14 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if a.Rounds != b.Rounds || a.Messages != b.Messages || !b.Verified {
 		t.Fatalf("RunCtx(Background) diverged from Run: %+v vs %+v", a, b)
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -1,7 +1,6 @@
 package boruvka
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -24,14 +23,13 @@ func testGraphs(t *testing.T) []*graph.Graph {
 	var out []*graph.Graph
 	seed := int64(0)
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 7, 16, 33, 64} {
 				seed++
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(seed))
-				out = append(out, fam.Build(n, rng, gen.Options{Weights: mode}))
+				out = append(out, mustGen(fam, n, uint64(seed), gen.SeededOptions{Weights: mode}))
 			}
 		}
 	}
@@ -114,10 +112,9 @@ func TestLemma2GlobalOrder(t *testing.T) {
 }
 
 func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for _, n := range []int{8, 31, 64} {
-			rng := rand.New(rand.NewSource(int64(n)))
-			g := fam.Build(n, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := mustGen(fam, n, uint64(n), gen.SeededOptions{Weights: gen.WeightsDistinct})
 			d := decompose(t, g, 0)
 			for _, ph := range d.Phases {
 				for fi := range ph.Fragments {
@@ -130,13 +127,13 @@ func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
 					rank := g.LocalRank(u, port)
 					if rank+1 > f.Size() {
 						t.Fatalf("%s n=%d phase %d: local rank %d > |F| = %d",
-							fam.Name, n, ph.Index, rank+1, f.Size())
+							fam, n, ph.Index, rank+1, f.Size())
 					}
 					// The index bound used by the advice widths: rank fits
 					// in i bits since |F| < 2^i.
 					if rank >= 1<<uint(ph.Index) {
 						t.Fatalf("%s n=%d phase %d: rank %d needs more than %d bits",
-							fam.Name, n, ph.Index, rank, ph.Index)
+							fam, n, ph.Index, rank, ph.Index)
 					}
 				}
 			}
@@ -326,8 +323,7 @@ func contains(es []graph.EdgeID, e graph.EdgeID) bool {
 // The final fragment spans the graph and its BFS order starts at the
 // global root.
 func TestFinalFragment(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := gen.RandomConnected(40, 100, rng, gen.Options{})
+	g := gen.RandomConnected(40, 100, 5, gen.SeededOptions{})
 	root := graph.NodeID(13)
 	d := decompose(t, g, root)
 	if d.Final.Size() != g.N() {
@@ -383,10 +379,8 @@ func TestSingleNode(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	rng1 := rand.New(rand.NewSource(77))
-	rng2 := rand.New(rand.NewSource(77))
-	g1 := gen.RandomConnected(30, 80, rng1, gen.Options{Weights: gen.WeightsUnit})
-	g2 := gen.RandomConnected(30, 80, rng2, gen.Options{Weights: gen.WeightsUnit})
+	g1 := gen.RandomConnected(30, 80, 77, gen.SeededOptions{Weights: gen.WeightsUnit})
+	g2 := gen.RandomConnected(30, 80, 77, gen.SeededOptions{Weights: gen.WeightsUnit})
 	d1 := decompose(t, g1, 3)
 	d2 := decompose(t, g2, 3)
 	if d1.NumPhases() != d2.NumPhases() {
@@ -409,12 +403,21 @@ func TestDeterminism(t *testing.T) {
 }
 
 func BenchmarkDecompose(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(512, 2048, rng, gen.Options{})
+	g := gen.RandomConnected(512, 2048, 1, gen.SeededOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompose(g, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

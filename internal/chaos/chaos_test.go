@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -197,7 +196,7 @@ func TestProxyPartition(t *testing.T) {
 // delays, truncations — may retry, but every answer it returns must be
 // byte-identical to the primary's and at a monotone epoch.
 func TestClientThroughChaosNeverWrong(t *testing.T) {
-	g := gen.RandomConnected(64, 192, rand.New(rand.NewSource(11)), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(64, 192, 11, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)

@@ -14,24 +14,24 @@ import (
 // size, weight mode and root, with the same ≤12-bit advice.
 func TestAdaptiveAcrossFamilies(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 5, 9, 17, 40, 81} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n)*23 + int64(mode)*101))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := mustGen(fam, n, rng.Uint64(), gen.SeededOptions{Weights: mode})
 				root := graph.NodeID(rng.Intn(g.N()))
 				res, err := advice.Run(Scheme{Adaptive: true}, g, root, sim.Options{})
 				if err != nil {
-					t.Fatalf("%s/%s n=%d: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d: %v", fam, mode, n, err)
 				}
 				if !res.Verified || res.Root != root {
 					t.Fatalf("%s/%s n=%d: verified=%v root=%d want %d (%v)",
-						fam.Name, mode, n, res.Verified, res.Root, root, res.VerifyErr)
+						fam, mode, n, res.Verified, res.Root, root, res.VerifyErr)
 				}
 				if res.Advice.MaxBits > 12 {
-					t.Fatalf("%s/%s n=%d: %d advice bits", fam.Name, mode, n, res.Advice.MaxBits)
+					t.Fatalf("%s/%s n=%d: %d advice bits", fam, mode, n, res.Advice.MaxBits)
 				}
 			}
 		}
@@ -43,8 +43,7 @@ func TestAdaptiveAcrossFamilies(t *testing.T) {
 // schedule plus its pulse barriers.
 func TestAdaptiveMatchesStrict(t *testing.T) {
 	for _, n := range []int{16, 64, 200} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.RandomConnected(n, 3*n, rng, gen.Options{})
+		g := gen.RandomConnected(n, 3*n, uint64(n), gen.SeededOptions{})
 		strict, err := advice.Run(Scheme{}, g, 0, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -69,8 +68,7 @@ func TestAdaptiveMatchesStrict(t *testing.T) {
 // On low-diameter graphs the adaptive variant should beat the worst-case
 // schedule comfortably (fragments are shallow, windows mostly idle).
 func TestAdaptiveBeatsScheduleOnExpanders(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := gen.Expander(600, 3, rng, gen.Options{})
+	g := mustGen("expander", 600, 5, gen.SeededOptions{})
 	strict, err := advice.Run(Scheme{}, g, 0, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,7 @@ func TestAdaptiveBeatsScheduleOnExpanders(t *testing.T) {
 
 func TestAdaptiveDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
-		return gen.RandomConnected(50, 140, rand.New(rand.NewSource(9)), gen.Options{Weights: gen.WeightsUnit})
+		return gen.RandomConnected(50, 140, 9, gen.SeededOptions{Weights: gen.WeightsUnit})
 	}
 	a, err := advice.Run(Scheme{Adaptive: true}, mk(), 2, sim.Options{Sequential: true})
 	if err != nil {

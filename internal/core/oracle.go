@@ -91,13 +91,6 @@ type OracleOptions struct {
 	// encoding; 0 means GOMAXPROCS. The advice is byte-identical for any
 	// value.
 	Workers int
-	// Reference selects the two-pass reference encoder, which
-	// materialises every Phase and Fragment record before packing. The
-	// default fused path streams each annotated fragment straight into
-	// the advice arenas (boruvka.Stream, DESIGN.md §2.12); both produce
-	// byte-identical advice, and TestFusedMatchesReference holds them
-	// together.
-	Reference bool
 }
 
 // BuildAdvice computes the Theorem 3 advice for g rooted at root. cap is
@@ -120,12 +113,27 @@ func BuildAdviceDetail(g *graph.Graph, root graph.NodeID, cap int) (*AdviceDetai
 
 // BuildAdviceDetailOpt is BuildAdviceDetail with an explicit worker
 // count; the result is byte-identical for any OracleOptions.Workers.
+// The encoder is the fused streaming pass (buildFused, DESIGN.md
+// §2.12).
 func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt OracleOptions) (*AdviceDetail, error) {
+	b := newAdviceBuilder(g, cap, opt.Workers)
+	// A singleton has no phases and no final stage: all-empty advice.
+	if g.N() > 1 {
+		if err := b.buildFused(root); err != nil {
+			return nil, err
+		}
+	}
+	return b.detail()
+}
+
+// newAdviceBuilder sizes the encoder state for g: an empty packed
+// string per node in one arena, and a cleared final bit.
+func newAdviceBuilder(g *graph.Graph, cap, workers int) *adviceBuilder {
 	n := g.N()
 	b := &adviceBuilder{
 		g:       g,
 		sched:   NewSchedule(n, cap),
-		workers: par.Workers(opt.Workers),
+		workers: par.Workers(workers),
 		used:    make([]int, n),
 		packA:   bitstring.NewArena(n, cap),
 		packs:   make([]*bitstring.BitString, n),
@@ -134,33 +142,14 @@ func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt Oracle
 	for u := range b.packs {
 		b.packs[u] = b.packA.At(u)
 	}
-	switch {
-	case n <= 1:
-		// Singleton: no phases, no final stage, all-empty advice.
-	case opt.Reference:
-		// The packing reads only phases 1..P and the partition at the
-		// start of phase P+1, so later phases need not be recorded.
-		d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{
-			Workers:    b.workers,
-			KeepPhases: b.sched.P + 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.d = d
-		for i := 1; i <= b.sched.P && i <= d.NumPhases(); i++ {
-			if err := b.packPhase(i); err != nil {
-				return nil, err
-			}
-		}
-		if err := b.assignFinal(); err != nil {
-			return nil, err
-		}
-	default:
-		if err := b.buildFused(root); err != nil {
-			return nil, err
-		}
-	}
+	return b
+}
+
+// detail lays out the encoded state as advice strings, [final bit] ‖
+// [packed bits] per node.
+func (b *adviceBuilder) detail() (*AdviceDetail, error) {
+	n := b.g.N()
+	cap := b.sched.Cap
 	outA := bitstring.NewArena(n, cap+1)
 	out := make([]*bitstring.BitString, n)
 	err := par.FirstFailure(b.workers, n, func(_, lo, hi int) (int, error) {
@@ -185,39 +174,6 @@ func BuildAdviceDetailOpt(g *graph.Graph, root graph.NodeID, cap int, opt Oracle
 		Frags:  b.frags,
 		Width:  b.sched.Width,
 	}, nil
-}
-
-// packPhase streams A(F) for every selecting fragment of phase i, in
-// parallel over fragment ranges (each fragment writes only its own BFS
-// nodes). Per-worker scratch strings keep the loop allocation-free;
-// par.FirstFailure merges worker errors so the reported failure is the
-// one a sequential scan would hit first.
-func (b *adviceBuilder) packPhase(i int) error {
-	ph := &b.d.Phases[i-1]
-	nf := len(ph.Fragments)
-	workers := b.workers
-	if nf < 64 {
-		workers = 1
-	}
-	return par.FirstFailure(workers, nf, func(_, lo, hi int) (int, error) {
-		a := bitstring.New(i + 2)
-		for fi := lo; fi < hi; fi++ {
-			f := &ph.Fragments[fi]
-			if f.Sel == nil {
-				continue
-			}
-			if err := b.packFragment(i, f, a); err != nil {
-				return fi, err
-			}
-		}
-		return -1, nil
-	})
-}
-
-// packFragment encodes A(F) into a (a reusable scratch string) and
-// streams it greedily into the fragment's nodes in BFS order.
-func (b *adviceBuilder) packFragment(i int, f *boruvka.Fragment, a *bitstring.BitString) error {
-	return b.packBits(i, f.BFS, f.Sel.Chooser, f.Sel.Up, f.Level == 1, a)
 }
 
 // packBits is the phase-i fragment encoding shared by the reference and
@@ -266,46 +222,6 @@ func (b *adviceBuilder) packBits(i int, bfs []graph.NodeID, chooser graph.NodeID
 			i, len(bfs), a.Len(), b.sched.Cap)
 	}
 	return nil
-}
-
-// assignFinal distributes the Width-bit final string of every fragment
-// remaining after phase P, one bit per BFS node, in parallel over
-// fragment ranges (fragments own disjoint carrier nodes). The carrier
-// lists live in one slab sized len(frags)·Width.
-func (b *adviceBuilder) assignFinal() error {
-	lastPacked := b.sched.P
-	if b.d.NumPhases() < lastPacked {
-		lastPacked = b.d.NumPhases()
-	}
-	frags := b.d.FragmentsAtStart(lastPacked + 1)
-	width := b.sched.Width
-	b.frags = make([]FinalFragment, len(frags))
-	carrierSlab := make([]graph.NodeID, len(frags)*width)
-	workers := b.workers
-	if len(frags) < 64 {
-		workers = 1
-	}
-	return par.FirstFailure(workers, len(frags), func(_, lo, hi int) (int, error) {
-		for fi := lo; fi < hi; fi++ {
-			f := &frags[fi]
-			value, port, err := b.finalString(f.Root, f.Size())
-			if err != nil {
-				return fi, err
-			}
-			carriers := carrierSlab[fi*width : (fi+1)*width : (fi+1)*width]
-			for k := 0; k < width; k++ {
-				b.final[f.BFS[k]] = value>>uint(k)&1 == 1
-				carriers[k] = f.BFS[k]
-			}
-			b.frags[fi] = FinalFragment{
-				Root:       f.Root,
-				ParentPort: port,
-				Carriers:   carriers,
-				Value:      value,
-			}
-		}
-		return -1, nil
-	})
 }
 
 // finalString computes one final-stage fragment's encoded value — the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -49,22 +48,21 @@ func equalDetail(t *testing.T, label string, ref, d *AdviceDetail) {
 // different steal schedules.
 func TestAdviceParallelDeterminism(t *testing.T) {
 	check := func(t *testing.T) {
-		for gi, fam := range gen.Families() {
-			rng := rand.New(rand.NewSource(int64(300 + gi)))
-			g, err := fam.Generate(70, rng, gen.Options{Weights: gen.WeightsRandom})
+		for gi, fam := range gen.Names() {
+			g, err := gen.BuildSeeded(fam, 70, uint64(300+gi), gen.SeededOptions{Weights: gen.WeightsRandom})
 			if err != nil {
-				t.Fatalf("family %s: %v", fam.Name, err)
+				t.Fatalf("family %s: %v", fam, err)
 			}
 			ref, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: 1})
 			if err != nil {
-				t.Fatalf("family %s workers=1: %v", fam.Name, err)
+				t.Fatalf("family %s workers=1: %v", fam, err)
 			}
 			for _, workers := range []int{2, 3, 4, 8, 16} {
 				d, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: workers})
 				if err != nil {
-					t.Fatalf("family %s workers=%d: %v", fam.Name, workers, err)
+					t.Fatalf("family %s workers=%d: %v", fam, workers, err)
 				}
-				equalDetail(t, fam.Name, ref, d)
+				equalDetail(t, fam, ref, d)
 			}
 		}
 	}
@@ -79,23 +77,22 @@ func TestAdviceParallelDeterminism(t *testing.T) {
 // two-pass reference encoder to byte-identical output across families,
 // sizes (singleton through several phases) and worker counts.
 func TestFusedMatchesReference(t *testing.T) {
-	for gi, fam := range gen.Families() {
+	for gi, fam := range gen.Names() {
 		for _, n := range []int{1, 2, 9, 70, 300} {
-			rng := rand.New(rand.NewSource(int64(500 + gi + n)))
-			g, err := fam.Generate(n, rng, gen.Options{Weights: gen.WeightsRandom})
+			g, err := gen.BuildSeeded(fam, n, uint64(500+gi+n), gen.SeededOptions{Weights: gen.WeightsRandom})
 			if err != nil {
-				t.Fatalf("family %s n=%d: %v", fam.Name, n, err)
+				t.Fatalf("family %s n=%d: %v", fam, n, err)
 			}
-			ref, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: 4, Reference: true})
+			ref, err := buildAdviceReference(g, 0, DefaultCap, 4)
 			if err != nil {
-				t.Fatalf("family %s n=%d reference: %v", fam.Name, n, err)
+				t.Fatalf("family %s n=%d reference: %v", fam, n, err)
 			}
 			for _, workers := range []int{1, 4, 16} {
 				d, err := BuildAdviceDetailOpt(g, 0, DefaultCap, OracleOptions{Workers: workers})
 				if err != nil {
-					t.Fatalf("family %s n=%d fused workers=%d: %v", fam.Name, n, workers, err)
+					t.Fatalf("family %s n=%d fused workers=%d: %v", fam, n, workers, err)
 				}
-				equalDetail(t, fam.Name, ref, d)
+				equalDetail(t, fam, ref, d)
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func TestSensitivityExact(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			g := gen.RandomConnected(24, 60, rng, gen.Options{Weights: mode})
+			g := gen.RandomConnected(24, 60, rng.Uint64(), gen.SeededOptions{Weights: mode})
 			s, err := Analyze(g)
 			if err != nil {
 				t.Fatal(err)
@@ -66,8 +66,7 @@ func TestSensitivityExact(t *testing.T) {
 // TestToleranceBoundary probes each edge exactly at and just past its
 // tolerance: within it the MST must not change.
 func TestToleranceBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := gen.RandomConnected(30, 75, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(30, 75, 7, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	s, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +109,10 @@ func TestToleranceBoundary(t *testing.T) {
 // weight updates applied incrementally equals a from-scratch rebuild —
 // graph, MST and advice all byte-for-byte.
 func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed * 1000))
-			g := fam.Build(33, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := mustGen(fam, 33, rng.Uint64(), gen.SeededOptions{Weights: gen.WeightsDistinct})
 			var batch graph.Batch
 			for k := 0; k < 10; k++ {
 				batch.Weights = append(batch.Weights, graph.WeightUpdate{
@@ -123,7 +122,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			}
 			inc := g.Clone()
 			if err := inc.ApplyBatch(batch); err != nil {
-				t.Fatalf("%s/%d: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: %v", fam, seed, err)
 			}
 			// From-scratch rebuild: original topology, ports, IDs; final weights.
 			finalW := make([]graph.Weight, g.M())
@@ -137,17 +136,17 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			for u := range ids {
 				ids[u] = g.ID(graph.NodeID(u))
 			}
-			b := graph.NewBuilder(g.N()).SetIDs(ids)
-			for e := 0; e < g.M(); e++ {
-				rec := g.Edge(graph.EdgeID(e))
-				b.AddEdge(rec.U, rec.V, finalW[e])
+			edges := make([]graph.Edge, g.M())
+			for e := range edges {
+				edges[e] = g.Edge(graph.EdgeID(e))
+				edges[e].W = finalW[e]
 			}
-			rebuilt, err := b.Build()
+			rebuilt, err := graph.FromEdgeList(g.N(), ids, edges, 0)
 			if err != nil {
-				t.Fatalf("%s/%d: rebuild: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: rebuild: %v", fam, seed, err)
 			}
 			if err := graph.Equal(inc, rebuilt); err != nil {
-				t.Fatalf("%s/%d: graph mismatch: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: graph mismatch: %v", fam, seed, err)
 			}
 			ti, err := mst.Kruskal(inc)
 			if err != nil {
@@ -155,7 +154,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			}
 			tr, _ := mst.Kruskal(rebuilt)
 			if !mst.SameEdges(ti, tr) {
-				t.Fatalf("%s/%d: MST mismatch", fam.Name, seed)
+				t.Fatalf("%s/%d: MST mismatch", fam, seed)
 			}
 			ai, err := core.BuildAdvice(inc, 0, core.DefaultCap)
 			if err != nil {
@@ -163,7 +162,7 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 			}
 			ar, _ := core.BuildAdvice(rebuilt, 0, core.DefaultCap)
 			if u, ok := adviceEqual(ai, ar); !ok {
-				t.Fatalf("%s/%d: advice mismatch at node %d", fam.Name, seed, u)
+				t.Fatalf("%s/%d: advice mismatch at node %d", fam, seed, u)
 			}
 		}
 	}
@@ -175,14 +174,14 @@ func TestWeightBatchEqualsRebuildAllFamilies(t *testing.T) {
 // after every batch that its advice is byte-identical to a fresh oracle
 // run on the patched graph.
 func TestAdvisorMatchesFullRecompute(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(seed * 77))
-			g := fam.Build(40, rng, gen.Options{Weights: gen.WeightsDistinct})
+			g := mustGen(fam, 40, rng.Uint64(), gen.SeededOptions{Weights: gen.WeightsDistinct})
 			root := graph.NodeID(rng.Intn(g.N()))
 			a, err := NewAdvisor(g.Clone(), root, core.DefaultCap)
 			if err != nil {
-				t.Fatalf("%s/%d: %v", fam.Name, seed, err)
+				t.Fatalf("%s/%d: %v", fam, seed, err)
 			}
 			for step := 0; step < 12; step++ {
 				var batch graph.Batch
@@ -221,20 +220,20 @@ func TestAdvisorMatchesFullRecompute(t *testing.T) {
 					continue
 				}
 				if _, err := a.Update(batch); err != nil {
-					t.Fatalf("%s/%d step %d: %v", fam.Name, seed, step, err)
+					t.Fatalf("%s/%d step %d: %v", fam, seed, step, err)
 				}
 				want, err := core.BuildAdvice(a.Graph(), root, core.DefaultCap)
 				if err != nil {
-					t.Fatalf("%s/%d step %d: full oracle: %v", fam.Name, seed, step, err)
+					t.Fatalf("%s/%d step %d: full oracle: %v", fam, seed, step, err)
 				}
 				if u, ok := adviceEqual(a.Advice(), want); !ok {
 					t.Fatalf("%s/%d step %d: advisor advice differs from full recompute at node %d",
-						fam.Name, seed, step, u)
+						fam, seed, step, u)
 				}
 			}
 			st := a.Stats()
 			if st.Batches == 0 || st.FullRecomputes == 0 {
-				t.Fatalf("%s/%d: update mix not exercised: %+v", fam.Name, seed, st)
+				t.Fatalf("%s/%d: update mix not exercised: %+v", fam, seed, st)
 			}
 		}
 	}
@@ -243,8 +242,7 @@ func TestAdvisorMatchesFullRecompute(t *testing.T) {
 // TestAdvisorFastPathTaken pins that tolerant non-tree updates really
 // take the incremental path (on a family with plenty of non-tree edges).
 func TestAdvisorFastPathTaken(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := gen.RandomConnected(64, 192, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(64, 192, 3, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	a, err := NewAdvisor(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +276,7 @@ func TestAdvisorFastPathTaken(t *testing.T) {
 func TestAdvisorFastPathReencodes(t *testing.T) {
 	reencoded := false
 	for seed := int64(1); seed <= 40 && !reencoded; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.RandomConnected(48, 144, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := gen.RandomConnected(48, 144, uint64(seed), gen.SeededOptions{Weights: gen.WeightsDistinct})
 		a, err := NewAdvisor(g, 0, core.DefaultCap)
 		if err != nil {
 			t.Fatal(err)
@@ -340,12 +337,8 @@ func TestAdvisorFastPathReencodes(t *testing.T) {
 // exact rooted MST comes out.
 func TestAdvisorEndToEnd(t *testing.T) {
 	for _, famName := range []string{"random", "expander", "lollipop"} {
-		fam, err := gen.ByName(famName)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(11))
-		g := fam.Build(48, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := mustGen(famName, 48, rng.Uint64(), gen.SeededOptions{Weights: gen.WeightsDistinct})
 		a, err := NewAdvisor(g, 5, core.DefaultCap)
 		if err != nil {
 			t.Fatal(err)
@@ -373,8 +366,7 @@ func TestAdvisorEndToEnd(t *testing.T) {
 // determinism test at scheme level: a core-scheme run under a fault
 // Scenario is byte-identical for any worker count.
 func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := gen.RandomConnected(80, 240, rng, gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(80, 240, 21, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	s, err := Analyze(g)
 	if err != nil {
 		t.Fatal(err)
@@ -410,12 +402,7 @@ func TestScenarioRunsDeterministicAcrossWorkers(t *testing.T) {
 // Theorem 3 decoder still outputs the exact rooted MST.
 func TestAdviceSurvivesNonTreeLinkFailures(t *testing.T) {
 	for _, famName := range []string{"random", "expander", "wheel"} {
-		fam, err := gen.ByName(famName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(31))
-		g := fam.Build(64, rng, gen.Options{Weights: gen.WeightsDistinct})
+		g := mustGen(famName, 64, 31, gen.SeededOptions{Weights: gen.WeightsDistinct})
 		s, err := Analyze(g)
 		if err != nil {
 			t.Fatal(err)
@@ -432,7 +419,7 @@ func TestAdviceSurvivesNonTreeLinkFailures(t *testing.T) {
 }
 
 func TestUpdateCtxCanceled(t *testing.T) {
-	g := gen.RandomConnected(64, 192, rand.New(rand.NewSource(5)), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(64, 192, 5, gen.SeededOptions{Weights: gen.WeightsDistinct})
 	adv, err := NewAdvisor(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)
@@ -477,4 +464,14 @@ func TestUpdateCtxCanceled(t *testing.T) {
 	if u, ok := adviceEqual(fresh, adv.Advice()); !ok {
 		t.Fatalf("advice differs from oracle at node %d after post-cancel update", u)
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -48,11 +48,12 @@ const wallMachineHeadroom = 2.0
 
 // CompareBaseline checks freshly measured rows against a committed
 // baseline and returns one message per regression (empty slice = pass).
-// Rows are matched by BenchKey (kind, scheme, family, n, workers); rows
-// present on only one side are ignored, so a baseline recorded on a
-// different core count still gates the rows the two machines share
-// (benchWorkers' fixed 4-worker probe guarantees a shared parallel
-// row). A row regresses when either stage's allocation count (Allocs,
+// Rows are matched by BenchKey (kind, scheme, family, n, workers). A
+// baseline row missing from the current run is a regression when the
+// run measured any row at that row's n — a dropped or renamed row
+// cannot pass silently — while sizes the run skipped entirely (a
+// -sizes smoke run) are not. Current rows absent from the baseline are
+// ignored. A row regresses when either stage's allocation count (Allocs,
 // and GenAllocs for oracle rows) exceeds maxFactor times the baseline,
 // when either stage's wall time (if the baseline wall is large enough
 // to be stable) exceeds maxFactor·wallMachineHeadroom times the
@@ -64,6 +65,18 @@ func CompareBaseline(current, baseline []BenchResult, maxFactor float64) []strin
 	}
 	wallFactor := maxFactor * wallMachineHeadroom
 	var regressions []string
+	measured := make(map[BenchKey]bool, len(current))
+	sizes := make(map[int]bool)
+	for _, r := range current {
+		measured[r.Key()] = true
+		sizes[r.N] = true
+	}
+	for _, b := range baseline {
+		if sizes[b.N] && !measured[b.Key()] {
+			regressions = append(regressions, fmt.Sprintf("%s/%s/%s n=%d workers=%d: baseline row missing from this run",
+				b.Kind, b.Scheme, b.Family, b.N, b.Workers))
+		}
+	}
 	for _, r := range current {
 		b, ok := base[r.Key()]
 		if !ok {

@@ -85,10 +85,11 @@ type BenchResult struct {
 	VirtualTime  int64 `json:"virtual_time,omitempty"`
 	SyncMessages int64 `json:"sync_messages,omitempty"`
 	SyncBits     int64 `json:"sync_bits,omitempty"`
-	// Hierarchical-advice columns (kind "hier", HierBench): the level's
-	// coarse node count, and the total mst-hier-l advice bits at that
-	// level (the budget axis of the bits-vs-rounds frontier; Bytes
-	// holds the tier's marginal snapshot cost).
+	// Hierarchical-advice columns (kind "hier", HierBench): the tower
+	// level, the level's coarse node count, and the total mst-hier-l
+	// advice bits at that level (the budget axis of the bits-vs-rounds
+	// frontier; Bytes holds the tier's marginal snapshot cost).
+	Level      int   `json:"level,omitempty"`
 	CoarseN    int   `json:"coarse_n,omitempty"`
 	AdviceBits int64 `json:"advice_bits,omitempty"`
 }
@@ -145,7 +146,7 @@ func SimBench(c Config) []BenchResult {
 			fmt.Fprintf(os.Stderr, "experiments: skipping sim benchmark at n=%d (message-level simulation is capped at n=%d)\n", n, simBenchMaxN)
 			continue
 		}
-		g := gen.RandomConnected(n, 3*n, c.rng(int64(n)), gen.Options{})
+		g := gen.RandomConnected(n, 3*n, c.seed(int64(n)), gen.SeededOptions{})
 		var seqWall int64
 		for _, workers := range benchWorkers() {
 			var before, after runtime.MemStats
@@ -387,7 +388,7 @@ func max64(a, b int64) int64 {
 // Verified column certifying the incremental advice stayed byte-identical
 // to the oracle's.
 func dynamicBench(c Config, n int) []BenchResult {
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+917), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(n, 3*n, c.seed(int64(n)+917), gen.SeededOptions{Weights: gen.WeightsDistinct})
 	adv, err := dynamic.NewAdvisor(g.Clone(), 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

@@ -64,7 +64,7 @@ func ObsBench(c Config) []BenchResult {
 		per = 1
 	}
 
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+389), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(n, 3*n, c.seed(int64(n)+389), gen.SeededOptions{Weights: gen.WeightsDistinct})
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

@@ -121,7 +121,7 @@ func (r *epochRefs) bits(seq uint64, node int) *bitstring.BitString {
 
 func replicaBenchAt(c Config, n, queries int) []BenchResult {
 	const graphID = "bench"
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+613), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(n, 3*n, c.seed(int64(n)+613), gen.SeededOptions{Weights: gen.WeightsDistinct})
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

@@ -61,7 +61,7 @@ func ServiceBench(c Config) []BenchResult {
 }
 
 func serviceBenchAt(c Config, n, queries int) []BenchResult {
-	g := gen.RandomConnected(n, 3*n, c.rng(int64(n)+271), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(n, 3*n, c.seed(int64(n)+271), gen.SeededOptions{Weights: gen.WeightsDistinct})
 	fresh, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		panic(err)

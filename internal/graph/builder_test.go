@@ -5,55 +5,6 @@ import (
 	"testing"
 )
 
-// TestBuilderGrow checks that a pre-sized builder produces a graph
-// identical to an incrementally grown one, including when a node
-// overflows its reservation.
-func TestBuilderGrow(t *testing.T) {
-	type e struct {
-		u, v NodeID
-		w    Weight
-	}
-	edges := []e{{0, 1, 5}, {1, 2, 3}, {2, 3, 3}, {0, 3, 9}, {1, 3, 1}}
-	plain := NewBuilder(4)
-	for _, ed := range edges {
-		plain.AddEdge(ed.u, ed.v, ed.w)
-	}
-	want := plain.MustBuild()
-
-	deg := make([]int, 4)
-	for _, ed := range edges {
-		deg[ed.u]++
-		deg[ed.v]++
-	}
-	grown := NewBuilder(4).Grow(deg)
-	for _, ed := range edges {
-		grown.AddEdge(ed.u, ed.v, ed.w)
-	}
-	if err := Equal(want, grown.MustBuild()); err != nil {
-		t.Fatalf("grown graph differs: %v", err)
-	}
-
-	// Degrees are capacities, not limits: under-reserving must still
-	// build the same graph.
-	under := NewBuilder(4).Grow([]int{0, 0, 0, 0})
-	for _, ed := range edges {
-		under.AddEdge(ed.u, ed.v, ed.w)
-	}
-	if err := Equal(want, under.MustBuild()); err != nil {
-		t.Fatalf("under-reserved graph differs: %v", err)
-	}
-
-	if _, err := NewBuilder(2).Grow([]int{1}).AddEdge(0, 1, 1).Build(); err == nil {
-		t.Error("Grow with wrong degree count not rejected")
-	}
-	if _, err := NewBuilder(2).AddEdge(0, 1, 1).Grow([]int{1, 1}).Build(); err == nil {
-		t.Error("Grow after AddEdge not rejected")
-	}
-	if _, err := NewBuilder(2).Grow([]int{-1, 1}).Build(); err == nil {
-		t.Error("negative degree not rejected")
-	}
-}
-
 // TestBuildDuplicateVariants exercises the sort-and-dedup validation:
 // duplicates must be rejected however they are phrased.
 func TestBuildDuplicateVariants(t *testing.T) {

@@ -63,6 +63,11 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 		total += deg[u]
 	}
 	off[n] = total
+	// While halves are scattered, dstPort doubles as the claim table: a
+	// slot holds ^port (never 0) once an edge owns it, and an edge takes
+	// a slot by CAS from 0. A port named twice in hostile records thus
+	// fails its CAS instead of racing for the slot; 2m successful claims
+	// fill all 2m slots, and the adjacency pass flips them back.
 	halves := make([]Half, total)
 	dstPort := make([]int32, total)
 	err = par.FirstFailure(workers, len(edges), func(_, lo, hi int) (int, error) {
@@ -72,9 +77,14 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 				return ei, fmt.Errorf("graph: edge %d port out of range: %d@%d / %d@%d", ei, e.PU, e.U, e.PV, e.V)
 			}
 			hu, hv := off[e.U]+int32(e.PU), off[e.V]+int32(e.PV)
+			if !atomic.CompareAndSwapInt32(&dstPort[hu], 0, ^int32(e.PV)) {
+				return ei, fmt.Errorf("graph: two edges claim port %d of node %d", e.PU, e.U)
+			}
+			if !atomic.CompareAndSwapInt32(&dstPort[hv], 0, ^int32(e.PU)) {
+				return ei, fmt.Errorf("graph: two edges claim port %d of node %d", e.PV, e.V)
+			}
 			halves[hu] = Half{To: e.V, W: e.W, Edge: EdgeID(ei)}
 			halves[hv] = Half{To: e.U, W: e.W, Edge: EdgeID(ei)}
-			dstPort[hu], dstPort[hv] = int32(e.PV), int32(e.PU)
 		}
 		return -1, nil
 	})
@@ -102,12 +112,13 @@ func FromEdgeList(n int, ids []int64, edges []Edge, workers int) (*Graph, error)
 	par.Ranges(workers, n, func(_, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			g.adj[u] = halves[off[u]:off[u+1]:off[u+1]]
+			for h := off[u]; h < off[u+1]; h++ {
+				dstPort[h] = ^dstPort[h]
+			}
 		}
 	})
-	// A port used twice leaves its duplicate slot holding only the later
-	// write; Validate's port-table reciprocity check then sees the earlier
-	// edge pointing at a slot that names a different edge and rejects it,
-	// alongside the usual simplicity and ID-distinctness checks.
+	// Every port is now used exactly once; validate adds the simplicity,
+	// weight and ID-distinctness checks.
 	if err := g.validate(workers); err != nil {
 		return nil, err
 	}

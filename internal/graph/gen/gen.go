@@ -1,24 +1,30 @@
 // Package gen generates the graph families used by the experiments:
-// deterministic topologies (paths, rings, grids, tori, complete graphs,
-// hypercubes, stars, trees, caterpillars) and randomised ones (random
-// connected graphs, random trees, matching-union expanders). Every
-// generator routes through a single assembler that randomises the port
-// labelling (edge insertion order) and node identifiers, and assigns
-// weights according to a WeightMode, so that all families share identical
-// conventions.
+// deterministic topologies (paths, rings, grids, stars, binary trees,
+// caterpillars, complete graphs, wheels, lollipops) and randomised ones
+// (random trees, random connected graphs, Hamiltonian-cycle expanders).
 //
-// All randomness comes from an explicit *rand.Rand; given the same seed a
-// generator reproduces the same graph bit for bit.
+// Every family is one row of a single table that enumerates its edges
+// as a pointwise function of the edge index; one assembler then
+// assigns weights according to a WeightMode, shuffles the port
+// labelling and permutes the node identifiers, so all families share
+// identical conventions. All randomness is counter-mode and keyed by an
+// explicit uint64 seed: the same (family, n, seed, options) reproduce
+// the same graph bit for bit, for any worker count.
 //
-// See DESIGN.md §2.1 for the graph representation the generators emit
-// and DESIGN.md §3 for the experiments that sweep these families.
+// BuildSeeded is the entry point by family name; RandomConnected and
+// Grid expose the two families whose shape takes a second parameter.
+//
+// See DESIGN.md §2.1 for the graph representation the generators emit,
+// DESIGN.md §2.12 for the seeded construction and DESIGN.md §3 for the
+// experiments that sweep these families.
 package gen
 
 import (
 	"fmt"
-	"math/rand"
+	"sync/atomic"
 
 	"mstadvice/internal/graph"
+	"mstadvice/internal/par"
 )
 
 // WeightMode selects how edge weights are assigned.
@@ -50,511 +56,323 @@ func (m WeightMode) String() string {
 	}
 }
 
-// Options control the shared assembly step.
-type Options struct {
+// SeededOptions control every builder. Workers sizes the pool used
+// during generation; it never affects the generated bytes.
+type SeededOptions struct {
 	Weights   WeightMode
-	KeepPorts bool // do not shuffle edge insertion order
-	KeepIDs   bool // use identity IDs 1..n instead of a random permutation
+	KeepPorts bool // identity port labelling instead of a seeded shuffle
+	KeepIDs   bool // identity IDs 1..n instead of a seeded permutation
+	Workers   int
 }
 
-type edgePair struct{ u, v int }
-
-// pairSet is an open-addressing hash set of node pairs used by the
-// randomised generators for duplicate rejection. It replaces the former
-// map[[2]int]bool: membership semantics are identical (so a given seed
-// still produces the exact same graph), but the set lives in one
-// power-of-two table of packed keys with linear probing — no per-insert
-// allocations and no bucket pointers to chase.
-type pairSet struct {
-	table []uint64
-	mask  uint64
-	used  int
+// seqEdge is an edge endpoint pair; its index in an edgeList is its
+// position in the generation sequence.
+type seqEdge struct {
+	u, v int
 }
 
-// newPairSet sizes the table for the expected number of pairs at a load
-// factor below 1/2.
-func newPairSet(expected int) *pairSet {
-	size := 16
-	for size < 2*expected+1 {
-		size <<= 1
-	}
-	return &pairSet{table: make([]uint64, size), mask: uint64(size - 1)}
+// edgeList produces the endpoint pairs of a family as a pointwise
+// function: count is the edge count, at(i) the i-th pair. Deterministic
+// families enumerate their structure directly; randomised families
+// compose the substream primitives of seeded.go. All pairs are distinct
+// and free of self-loops by construction.
+type edgeList struct {
+	n     int
+	count int
+	at    func(i int) seqEdge
 }
 
-// add inserts the unordered pair {u, v} (u != v) and reports whether it
-// was absent. Keys are offset by one so the zero word means "empty".
-func (s *pairSet) add(u, v int) bool {
-	if u > v {
-		u, v = v, u
-	}
-	key := (uint64(u)<<32 | uint64(uint32(v))) + 1
-	// Fibonacci hashing spreads the packed key over the table.
-	i := (key * 0x9E3779B97F4A7C15) & s.mask
-	for {
-		switch s.table[i] {
-		case 0:
-			if 2*(s.used+1) > len(s.table) {
-				s.grow()
-				return s.add(u, v) // table moved; re-probe
+// family is one row of the family table: a name, the smallest
+// meaningful size (BuildSeeded clamps n up to it), and the edge
+// enumeration at a clamped size.
+type family struct {
+	name  string
+	minN  int
+	edges func(n int, seed uint64, workers int) (edgeList, error)
+}
+
+// families is the single source of truth for the named families: Names
+// lists it and BuildSeeded looks names up in it, so listings and
+// lookups can never disagree.
+var families = []family{
+	{"path", 1, func(n int, _ uint64, _ int) (edgeList, error) {
+		return edgeList{n, n - 1, func(i int) seqEdge { return seqEdge{i, i + 1} }}, nil
+	}},
+	{"ring", 3, func(n int, _ uint64, _ int) (edgeList, error) {
+		return edgeList{n, n, func(i int) seqEdge { return seqEdge{i, (i + 1) % n} }}, nil
+	}},
+	{"grid", 1, func(n int, _ uint64, _ int) (edgeList, error) {
+		// The largest square that fits in n, at least 2x2.
+		side := 1
+		for (side+1)*(side+1) <= n {
+			side++
+		}
+		if side < 2 {
+			side = 2
+		}
+		return gridEdges(side, side), nil
+	}},
+	{"tree", 1, func(n int, seed uint64, _ int) (edgeList, error) {
+		tkey := streamKey(seed, purposeTree)
+		return edgeList{n, n - 1, func(i int) seqEdge {
+			// node i+1 attaches to a uniform earlier node.
+			return seqEdge{drawMod(tkey, uint64(i), i+1), i + 1}
+		}}, nil
+	}},
+	{"random", 1, func(n int, seed uint64, workers int) (edgeList, error) {
+		return randomConnectedEdges(n, 3*n, seed, workers)
+	}},
+	{"expander", 3, func(n int, seed uint64, workers int) (edgeList, error) {
+		return expanderEdges(n, seed, workers)
+	}},
+	{"star", 2, func(n int, _ uint64, _ int) (edgeList, error) {
+		return edgeList{n, n - 1, func(i int) seqEdge { return seqEdge{0, i + 1} }}, nil
+	}},
+	{"caterpillar", 2, func(n int, _ uint64, _ int) (edgeList, error) {
+		// A spine path of ⌈n/2⌉ nodes with the rest attached as legs
+		// round-robin along it.
+		spine := (n + 1) / 2
+		return edgeList{n, n - 1, func(i int) seqEdge {
+			if i < spine-1 {
+				return seqEdge{i, i + 1}
 			}
-			s.table[i] = key
-			s.used++
-			return true
-		case key:
-			return false
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-func (s *pairSet) grow() {
-	old := s.table
-	s.table = make([]uint64, 2*len(old))
-	s.mask = uint64(len(s.table) - 1)
-	s.used = 0
-	for _, key := range old {
-		if key == 0 {
-			continue
-		}
-		i := (key * 0x9E3779B97F4A7C15) & s.mask
-		for s.table[i] != 0 {
-			i = (i + 1) & s.mask
-		}
-		s.table[i] = key
-		s.used++
-	}
-}
-
-// assemble turns a topology (node count + edge list) into a Graph.
-func assemble(n int, edges []edgePair, rng *rand.Rand, opt Options) *graph.Graph {
-	order := make([]int, len(edges))
-	for i := range order {
-		order[i] = i
-	}
-	if !opt.KeepPorts {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
-	weights := make([]graph.Weight, len(edges))
-	switch opt.Weights {
-	case WeightsDistinct:
-		perm := rng.Perm(len(edges))
-		for i := range weights {
-			weights[i] = graph.Weight(perm[i] + 1)
-		}
-	case WeightsRandom:
-		max := len(edges)/2 + 1
-		for i := range weights {
-			weights[i] = graph.Weight(rng.Intn(max) + 1)
-		}
-	case WeightsUnit:
-		for i := range weights {
-			weights[i] = 1
-		}
-	default:
-		panic(fmt.Sprintf("gen: unknown weight mode %d", int(opt.Weights)))
-	}
-	b := graph.NewBuilder(n)
-	if !opt.KeepIDs {
-		ids := make([]int64, n)
-		perm := rng.Perm(n)
-		for i := range ids {
-			ids[i] = int64(perm[i] + 1)
-		}
-		b.SetIDs(ids)
-	}
-	// The edge list is known up front, so count degrees and reserve the
-	// whole adjacency in one slab instead of growing n slices.
-	degrees := make([]int, n)
-	for _, e := range edges {
-		degrees[e.u]++
-		degrees[e.v]++
-	}
-	b.Grow(degrees)
-	for _, i := range order {
-		b.AddEdge(graph.NodeID(edges[i].u), graph.NodeID(edges[i].v), weights[i])
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic(fmt.Sprintf("gen: internal error assembling graph: %v", err))
-	}
-	return g
-}
-
-// Path returns the n-node path v0-v1-...-v(n-1).
-func Path(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 1)
-	edges := make([]edgePair, 0, n-1)
-	for i := 0; i+1 < n; i++ {
-		edges = append(edges, edgePair{i, i + 1})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Ring returns the n-node cycle (n >= 3).
-func Ring(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 3)
-	edges := make([]edgePair, 0, n)
-	for i := 0; i < n; i++ {
-		edges = append(edges, edgePair{i, (i + 1) % n})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Grid returns the rows x cols grid graph.
-func Grid(rows, cols int, rng *rand.Rand, opt Options) *graph.Graph {
-	if rows < 1 || cols < 1 {
-		panic(fmt.Sprintf("gen: invalid grid %dx%d", rows, cols))
-	}
-	var edges []edgePair
-	at := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				edges = append(edges, edgePair{at(r, c), at(r, c+1)})
+			j := i - (spine - 1) // leg j hangs off spine node j mod spine
+			return seqEdge{j % spine, spine + j}
+		}}, nil
+	}},
+	{"binarytree", 1, func(n int, _ uint64, _ int) (edgeList, error) {
+		// Node i has children 2i+1 and 2i+2 where they exist.
+		return edgeList{n, n - 1, func(i int) seqEdge { return seqEdge{i / 2, i + 1} }}, nil
+	}},
+	{"complete", 1, func(n int, _ uint64, _ int) (edgeList, error) {
+		return completeEdges(n), nil
+	}},
+	{"wheel", 4, func(n int, _ uint64, _ int) (edgeList, error) {
+		// A hub (node 0) joined to every node of an (n-1)-cycle.
+		return edgeList{n, 2 * (n - 1), func(i int) seqEdge {
+			if i < n-1 { // spokes
+				return seqEdge{0, i + 1}
 			}
-			if r+1 < rows {
-				edges = append(edges, edgePair{at(r, c), at(r+1, c)})
+			j := i - (n - 1) // rim
+			next := j + 2
+			if next == n {
+				next = 1
 			}
-		}
-	}
-	return assemble(rows*cols, edges, rng, opt)
-}
-
-// Torus returns the rows x cols torus (wrap-around grid); rows, cols >= 3.
-func Torus(rows, cols int, rng *rand.Rand, opt Options) *graph.Graph {
-	if rows < 3 || cols < 3 {
-		panic(fmt.Sprintf("gen: invalid torus %dx%d", rows, cols))
-	}
-	var edges []edgePair
-	at := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			edges = append(edges, edgePair{at(r, c), at(r, (c+1)%cols)})
-			edges = append(edges, edgePair{at(r, c), at((r+1)%rows, c)})
-		}
-	}
-	return assemble(rows*cols, edges, rng, opt)
-}
-
-// Complete returns the complete graph K_n.
-func Complete(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 1)
-	var edges []edgePair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, edgePair{i, j})
-		}
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Hypercube returns the d-dimensional hypercube on 2^d nodes.
-func Hypercube(d int, rng *rand.Rand, opt Options) *graph.Graph {
-	if d < 1 || d > 20 {
-		panic(fmt.Sprintf("gen: invalid hypercube dimension %d", d))
-	}
-	n := 1 << uint(d)
-	var edges []edgePair
-	for u := 0; u < n; u++ {
-		for b := 0; b < d; b++ {
-			v := u ^ (1 << uint(b))
-			if u < v {
-				edges = append(edges, edgePair{u, v})
+			return seqEdge{j + 1, next}
+		}}, nil
+	}},
+	{"lollipop", 4, func(n int, _ uint64, _ int) (edgeList, error) {
+		// A clique on ⌈n/2⌉ nodes with a path of the rest attached: the
+		// classic adversarial input for fragment-growing distributed MST
+		// algorithms (a low-diameter core waiting on a long tail).
+		clique := (n + 1) / 2
+		core := completeEdges(clique)
+		return edgeList{n, core.count + (n - clique), func(i int) seqEdge {
+			if i < core.count {
+				return core.at(i)
 			}
-		}
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Star returns the n-node star with centre 0.
-func Star(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 2)
-	edges := make([]edgePair, 0, n-1)
-	for i := 1; i < n; i++ {
-		edges = append(edges, edgePair{0, i})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// BinaryTree returns the complete-ish binary tree on n nodes (node i has
-// children 2i+1 and 2i+2 where they exist).
-func BinaryTree(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 1)
-	var edges []edgePair
-	for i := 1; i < n; i++ {
-		edges = append(edges, edgePair{(i - 1) / 2, i})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Caterpillar returns a path of ⌈n/2⌉ spine nodes with the remaining nodes
-// attached as legs round-robin along the spine.
-func Caterpillar(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 2)
-	spine := (n + 1) / 2
-	var edges []edgePair
-	for i := 0; i+1 < spine; i++ {
-		edges = append(edges, edgePair{i, i + 1})
-	}
-	for i := spine; i < n; i++ {
-		edges = append(edges, edgePair{(i - spine) % spine, i})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// RandomTree returns a uniformly random labelled tree on n nodes via a
-// random Prüfer-like attachment: node i (i >= 1) attaches to a uniformly
-// random earlier node.
-func RandomTree(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 1)
-	var edges []edgePair
-	for i := 1; i < n; i++ {
-		edges = append(edges, edgePair{rng.Intn(i), i})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// RandomConnected returns a connected graph on n nodes with m edges:
-// a random spanning tree plus m-(n-1) distinct random extra edges.
-// m is clamped to [n-1, n(n-1)/2].
-func RandomConnected(n, m int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 1)
-	maxM := n * (n - 1) / 2
-	if m < n-1 {
-		m = n - 1
-	}
-	if m > maxM {
-		m = maxM
-	}
-	seen := newPairSet(m)
-	edges := make([]edgePair, 0, m)
-	add := func(u, v int) bool {
-		if u == v {
-			return false
-		}
-		if !seen.add(u, v) {
-			return false
-		}
-		if u > v {
-			u, v = v, u
-		}
-		edges = append(edges, edgePair{u, v})
-		return true
-	}
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		add(perm[rng.Intn(i)], perm[i])
-	}
-	for len(edges) < m {
-		add(rng.Intn(n), rng.Intn(n))
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Lollipop returns a clique on ⌈n/2⌉ nodes with a path of the remaining
-// nodes attached — the classic adversarial input for fragment-growing
-// distributed MST algorithms (a low-diameter core that must wait for a
-// linear-diameter tail). n >= 4.
-func Lollipop(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 4)
-	clique := (n + 1) / 2
-	var edges []edgePair
-	for i := 0; i < clique; i++ {
-		for j := i + 1; j < clique; j++ {
-			edges = append(edges, edgePair{i, j})
-		}
-	}
-	for i := clique; i < n; i++ {
-		prev := i - 1
-		if i == clique {
-			prev = 0
-		}
-		edges = append(edges, edgePair{prev, i})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Wheel returns the n-node wheel: a hub (node 0) joined to every node of
-// an (n-1)-cycle. n >= 4.
-func Wheel(n int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 4)
-	var edges []edgePair
-	for i := 1; i < n; i++ {
-		edges = append(edges, edgePair{0, i})
-		next := i + 1
-		if next == n {
-			next = 1
-		}
-		edges = append(edges, edgePair{i, next})
-	}
-	return assemble(n, edges, rng, opt)
-}
-
-// Expander returns the union of k random Hamiltonian cycles on n nodes
-// (duplicate edges dropped): a standard low-diameter, near-regular
-// expander-like family. n >= 3, k >= 1.
-func Expander(n, k int, rng *rand.Rand, opt Options) *graph.Graph {
-	requireN(n, 3)
-	if k < 1 {
-		k = 1
-	}
-	seen := newPairSet(k * n)
-	edges := make([]edgePair, 0, k*n)
-	for c := 0; c < k; c++ {
-		perm := rng.Perm(n)
-		for i := 0; i < n; i++ {
-			u, v := perm[i], perm[(i+1)%n]
-			if u > v {
-				u, v = v, u
+			j := i - core.count // tail node clique+j
+			if j == 0 {
+				return seqEdge{0, clique}
 			}
-			if u != v && seen.add(u, v) {
-				edges = append(edges, edgePair{u, v})
-			}
-		}
-	}
-	return assemble(n, edges, rng, opt)
+			return seqEdge{clique + j - 1, clique + j}
+		}}, nil
+	}},
 }
 
-// SizeError reports an invalid size parameter. The raw generators panic
-// with it; Family.Generate and Build recover it into an ordinary error so
-// CLI boundaries can print a usage message instead of a stack trace.
-type SizeError struct {
-	Min, Got int
-}
-
-func (e *SizeError) Error() string {
-	return fmt.Sprintf("gen: need at least %d nodes, got %d", e.Min, e.Got)
-}
-
-func requireN(n, min int) {
-	if n < min {
-		panic(&SizeError{Min: min, Got: n})
-	}
-}
-
-// Family is a named graph family with a single size parameter, used to
-// sweep experiments uniformly across topologies.
-type Family struct {
-	Name string
-	// MinN is the smallest meaningful size; Build clamps n up to it so
-	// sweeps starting below it stay well defined.
-	MinN int
-	// Build returns a graph with approximately n nodes (exact for most
-	// families; grids round to the nearest full square, and families
-	// with a structural minimum clamp n up to MinN).
-	Build func(n int, rng *rand.Rand, opt Options) *graph.Graph
-}
-
-// Generate is the error-returning entry point of a family: it validates
-// the size, runs Build, and converts generator panics (bad sizes,
-// internal assembly failures) into errors.
-func (f Family) Generate(n int, rng *rand.Rand, opt Options) (g *graph.Graph, err error) {
-	if f.Build == nil {
-		return nil, fmt.Errorf("gen: family %q has no builder", f.Name)
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("gen: family %q: need at least 1 node, got %d", f.Name, n)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			switch v := r.(type) {
-			case error:
-				err = fmt.Errorf("gen: family %q with n=%d: %w", f.Name, n, v)
-			default:
-				err = fmt.Errorf("gen: family %q with n=%d: %v", f.Name, n, v)
-			}
-		}
-	}()
-	return f.Build(n, rng, opt), nil
-}
-
-// registry is the single source of truth for the named families: both
-// Families and ByName read it, so listings and lookups can never
-// disagree. makeRegistry wraps every entry's raw builder so that MinN is
-// also the single source of the clamping.
-var registry = makeRegistry()
-
-func makeRegistry() []Family {
-	fams := []Family{
-		{"path", 1, Path},
-		{"ring", 3, Ring},
-		{"grid", 1, func(n int, rng *rand.Rand, opt Options) *graph.Graph {
-			side := 1
-			for (side+1)*(side+1) <= n {
-				side++
-			}
-			if side < 2 {
-				side = 2
-			}
-			return Grid(side, side, rng, opt)
-		}},
-		{"tree", 1, RandomTree},
-		{"random", 1, func(n int, rng *rand.Rand, opt Options) *graph.Graph {
-			return RandomConnected(n, 3*n, rng, opt)
-		}},
-		{"expander", 3, func(n int, rng *rand.Rand, opt Options) *graph.Graph {
-			return Expander(n, 3, rng, opt)
-		}},
-		{"star", 2, Star},
-		{"caterpillar", 2, Caterpillar},
-		{"binarytree", 1, BinaryTree},
-		{"complete", 1, Complete},
-		{"wheel", 4, Wheel},
-		{"lollipop", 4, Lollipop},
-	}
-	for i := range fams {
-		fams[i].Build = clamped(fams[i].MinN, fams[i].Build)
-	}
-	return fams
-}
-
-// clamped lifts a raw generator with a structural minimum size into a
-// family builder that clamps n up to that minimum.
-func clamped(min int, build func(int, *rand.Rand, Options) *graph.Graph) func(int, *rand.Rand, Options) *graph.Graph {
-	return func(n int, rng *rand.Rand, opt Options) *graph.Graph {
-		return build(atLeast(n, min), rng, opt)
-	}
-}
-
-// Families returns every registered family, in registry order.
-func Families() []Family {
-	return append([]Family(nil), registry...)
-}
-
-// Names returns the registered family names, in registry order.
+// Names returns the family names, in table order.
 func Names() []string {
-	names := make([]string, len(registry))
-	for i, f := range registry {
-		names[i] = f.Name
+	names := make([]string, len(families))
+	for i, f := range families {
+		names[i] = f.name
 	}
 	return names
 }
 
-func atLeast(n, min int) int {
-	if n < min {
-		return min
+// BuildSeeded generates a graph of the named family. n is clamped up to
+// the family's structural minimum (ring 3, star and caterpillar 2,
+// expander 3, wheel and lollipop 4) and grid rounds down to the largest
+// square of side at least 2. The same (name, n, seed, Weights,
+// KeepPorts, KeepIDs) always produce the same graph, bit for bit,
+// regardless of Workers or GOMAXPROCS; the bytes are pinned by goldens
+// in seeded_test.go. An unknown name or n < 1 is an error.
+func BuildSeeded(name string, n int, seed uint64, opt SeededOptions) (*graph.Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("gen: family %q: need at least 1 node, got %d", name, n)
 	}
-	return n
-}
-
-// ByName returns the family with the given name. Every name it accepts
-// is listed by Families — they read the same registry.
-func ByName(name string) (Family, error) {
-	for _, f := range registry {
-		if f.Name == name {
-			return f, nil
+	for _, f := range families {
+		if f.name != name {
+			continue
 		}
+		workers := par.Workers(opt.Workers)
+		if n < f.minN {
+			n = f.minN
+		}
+		list, err := f.edges(n, seed, workers)
+		if err != nil {
+			return nil, err
+		}
+		g, err := assemble(list, seed, opt, workers)
+		if err != nil {
+			return nil, fmt.Errorf("gen: %q n=%d seed=%d: %w", name, n, seed, err)
+		}
+		return g, nil
 	}
-	return Family{}, fmt.Errorf("gen: unknown family %q (have %v)", name, Names())
+	return nil, fmt.Errorf("gen: unknown family %q (have %v)", name, Names())
 }
 
-// Build is the error-returning convenience entry point: look a family up
-// by name and generate an instance, with all failures (unknown family,
-// bad size) reported as errors rather than panics.
-func Build(name string, n int, rng *rand.Rand, opt Options) (*graph.Graph, error) {
-	f, err := ByName(name)
-	if err != nil {
-		return nil, err
+// RandomConnected returns a connected graph on n nodes with m edges: a
+// random attachment tree plus m-(n-1) distinct random extra edges. m is
+// clamped to [n-1, n(n-1)/2]; with m = 3n it is the "random" family.
+// It panics if n < 1.
+func RandomConnected(n, m int, seed uint64, opt SeededOptions) *graph.Graph {
+	if n < 1 {
+		panic(fmt.Sprintf("gen: RandomConnected needs at least 1 node, got %d", n))
 	}
-	return f.Generate(n, rng, opt)
+	workers := par.Workers(opt.Workers)
+	list, err := randomConnectedEdges(n, m, seed, workers)
+	var g *graph.Graph
+	if err == nil {
+		g, err = assemble(list, seed, opt, workers)
+	}
+	if err != nil { // neither step fails on a valid size: a bug
+		panic(fmt.Sprintf("gen: RandomConnected n=%d m=%d seed=%d: %v", n, m, seed, err))
+	}
+	return g
+}
+
+// Grid returns the rows x cols grid graph; with rows = cols it is the
+// "grid" family. It panics if rows or cols is below 1.
+func Grid(rows, cols int, seed uint64, opt SeededOptions) *graph.Graph {
+	if rows < 1 || cols < 1 {
+		panic(fmt.Sprintf("gen: invalid grid %dx%d", rows, cols))
+	}
+	g, err := assemble(gridEdges(rows, cols), seed, opt, par.Workers(opt.Workers))
+	if err != nil {
+		panic(fmt.Sprintf("gen: grid %dx%d seed=%d: %v", rows, cols, seed, err))
+	}
+	return g
+}
+
+// gridEdges enumerates the rows x cols grid: every horizontal edge row
+// by row, then every vertical edge.
+func gridEdges(rows, cols int) edgeList {
+	horiz := rows * (cols - 1)
+	return edgeList{rows * cols, horiz + (rows-1)*cols, func(i int) seqEdge {
+		if i < horiz { // row r, column c to c+1
+			r, c := i/(cols-1), i%(cols-1)
+			return seqEdge{r*cols + c, r*cols + c + 1}
+		}
+		j := i - horiz // row r to r+1, column c
+		r, c := j/cols, j%cols
+		return seqEdge{r*cols + c, (r+1)*cols + c}
+	}}
+}
+
+// completeEdges enumerates K_n's pairs in row order: all pairs (0, v),
+// then (1, v), ... Unranking binary-searches the row prefix sums, so
+// at(i) stays pointwise at O(log n).
+func completeEdges(n int) edgeList {
+	return edgeList{n, n * (n - 1) / 2, func(i int) seqEdge { return pairAt(n, i) }}
+}
+
+// assemble turns an edge list into a graph: weights by opt.Weights, a
+// seeded port shuffle and a seeded ID permutation, every pass pointwise
+// over edges or nodes on the worker pool.
+func assemble(list edgeList, seed uint64, opt SeededOptions, workers int) (*graph.Graph, error) {
+	n := list.n
+	m := list.count
+	edges := make([]graph.Edge, m)
+
+	// Endpoints and weights, pointwise over edges.
+	wkey := streamKey(seed, purposeWeight)
+	var wperm bijection
+	if opt.Weights == WeightsDistinct && m > 0 {
+		wperm = newBijection(m, wkey)
+	}
+	wmax := m/2 + 1
+	par.Ranges(workers, m, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := list.at(i)
+			var w graph.Weight
+			switch opt.Weights {
+			case WeightsDistinct:
+				w = graph.Weight(wperm.apply(i) + 1)
+			case WeightsRandom:
+				w = graph.Weight(int(draw(wkey, uint64(i))%uint64(wmax)) + 1)
+			case WeightsUnit:
+				w = 1
+			default:
+				panic(fmt.Sprintf("gen: unknown weight mode %d", int(opt.Weights)))
+			}
+			edges[i] = graph.Edge{U: graph.NodeID(e.u), V: graph.NodeID(e.v), W: w}
+		}
+	})
+
+	// Ports: rank of the edge's shuffled sequence number among the edges
+	// at each endpoint. One sort of packed (node, sequence, side) keys
+	// yields every rank as position − CSR offset; the sequence number is
+	// inverted back to the edge to scatter the rank into its record.
+	sperm := bijection{}
+	if !opt.KeepPorts && m > 0 {
+		sperm = newBijection(m, streamKey(seed, purposePorts))
+	}
+	seqOf := func(i int) int {
+		if opt.KeepPorts || m == 0 {
+			return i
+		}
+		return sperm.apply(i)
+	}
+	edgeOf := func(s int) int {
+		if opt.KeepPorts || m == 0 {
+			return s
+		}
+		return sperm.invert(s)
+	}
+	halfKeys := make([]uint64, 2*m)
+	deg := make([]int32, n)
+	par.Ranges(workers, m, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := uint64(seqOf(i))
+			e := edges[i]
+			halfKeys[2*i] = uint64(e.U)<<33 | s<<1
+			halfKeys[2*i+1] = uint64(e.V)<<33 | s<<1 | 1
+			atomic.AddInt32(&deg[e.U], 1)
+			atomic.AddInt32(&deg[e.V], 1)
+		}
+	})
+	par.SortU64(workers, halfKeys)
+	off := make([]int32, n+1)
+	acc := int32(0)
+	for u := 0; u < n; u++ {
+		off[u] = acc
+		acc += deg[u]
+	}
+	off[n] = acc
+	par.Ranges(workers, 2*m, func(_, lo, hi int) {
+		for pos := lo; pos < hi; pos++ {
+			key := halfKeys[pos]
+			u := int(key >> 33)
+			i := edgeOf(int(key << 31 >> 32)) // middle 32 bits: sequence number
+			port := pos - int(off[u])
+			if key&1 == 0 {
+				edges[i].PU = port
+			} else {
+				edges[i].PV = port
+			}
+		}
+	})
+
+	// IDs: seeded permutation of 1..n (identity under KeepIDs).
+	var ids []int64
+	if !opt.KeepIDs {
+		idperm := newBijection(n, streamKey(seed, purposeIDs))
+		ids = make([]int64, n)
+		par.Ranges(workers, n, func(_, lo, hi int) {
+			for u := lo; u < hi; u++ {
+				ids[u] = int64(idperm.apply(u) + 1)
+			}
+		})
+	}
+	return graph.FromEdgeList(n, ids, edges, workers)
 }

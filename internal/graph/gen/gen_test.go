@@ -1,13 +1,10 @@
 package gen
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
 )
-
-func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func checkGraph(t *testing.T, g *graph.Graph, wantN int, wantConnected bool) {
 	t.Helper()
@@ -22,8 +19,18 @@ func checkGraph(t *testing.T, g *graph.Graph, wantN int, wantConnected bool) {
 	}
 }
 
+// build is BuildSeeded for tests: any error fails the test.
+func build(t *testing.T, name string, n int, seed uint64, opt SeededOptions) *graph.Graph {
+	t.Helper()
+	g, err := BuildSeeded(name, n, seed, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPath(t *testing.T) {
-	g := Path(10, rng(1), Options{})
+	g := build(t, "path", 10, 1, SeededOptions{})
 	checkGraph(t, g, 10, true)
 	if g.M() != 9 || g.MaxDegree() != 2 {
 		t.Fatalf("M=%d maxdeg=%d", g.M(), g.MaxDegree())
@@ -34,7 +41,7 @@ func TestPath(t *testing.T) {
 }
 
 func TestRing(t *testing.T) {
-	g := Ring(12, rng(2), Options{})
+	g := build(t, "ring", 12, 2, SeededOptions{})
 	checkGraph(t, g, 12, true)
 	if g.M() != 12 {
 		t.Fatalf("M = %d", g.M())
@@ -50,7 +57,7 @@ func TestRing(t *testing.T) {
 }
 
 func TestGrid(t *testing.T) {
-	g := Grid(4, 5, rng(3), Options{})
+	g := Grid(4, 5, 3, SeededOptions{})
 	checkGraph(t, g, 20, true)
 	if g.M() != 4*4+3*5 {
 		t.Fatalf("grid M = %d", g.M())
@@ -58,39 +65,24 @@ func TestGrid(t *testing.T) {
 	if g.Diameter() != 3+4 {
 		t.Fatalf("grid diameter = %d", g.Diameter())
 	}
-}
-
-func TestTorus(t *testing.T) {
-	g := Torus(4, 4, rng(4), Options{})
-	checkGraph(t, g, 16, true)
-	if g.M() != 2*16 {
-		t.Fatalf("torus M = %d", g.M())
-	}
-	for u := 0; u < g.N(); u++ {
-		if g.Degree(graph.NodeID(u)) != 4 {
-			t.Fatal("torus should be 4-regular")
-		}
+	// The "grid" family is the largest square grid that fits in n.
+	sq := build(t, "grid", 20, 3, SeededOptions{})
+	checkGraph(t, sq, 16, true)
+	if sq.M() != 2*4*3 || sq.Diameter() != 6 {
+		t.Fatalf("grid family n=20: M=%d diam=%d, want the 4x4 grid", sq.M(), sq.Diameter())
 	}
 }
 
 func TestComplete(t *testing.T) {
-	g := Complete(7, rng(5), Options{})
+	g := build(t, "complete", 7, 5, SeededOptions{})
 	checkGraph(t, g, 7, true)
 	if g.M() != 21 || g.Diameter() != 1 {
 		t.Fatalf("K7: M=%d diam=%d", g.M(), g.Diameter())
 	}
 }
 
-func TestHypercube(t *testing.T) {
-	g := Hypercube(4, rng(6), Options{})
-	checkGraph(t, g, 16, true)
-	if g.M() != 32 || g.Diameter() != 4 {
-		t.Fatalf("Q4: M=%d diam=%d", g.M(), g.Diameter())
-	}
-}
-
 func TestStar(t *testing.T) {
-	g := Star(9, rng(7), Options{})
+	g := build(t, "star", 9, 7, SeededOptions{})
 	checkGraph(t, g, 9, true)
 	if g.MaxDegree() != 8 || g.M() != 8 {
 		t.Fatal("star shape wrong")
@@ -98,7 +90,7 @@ func TestStar(t *testing.T) {
 }
 
 func TestBinaryTree(t *testing.T) {
-	g := BinaryTree(15, rng(8), Options{})
+	g := build(t, "binarytree", 15, 8, SeededOptions{})
 	checkGraph(t, g, 15, true)
 	if g.M() != 14 || g.MaxDegree() != 3 {
 		t.Fatalf("binary tree: M=%d maxdeg=%d", g.M(), g.MaxDegree())
@@ -106,7 +98,7 @@ func TestBinaryTree(t *testing.T) {
 }
 
 func TestCaterpillar(t *testing.T) {
-	g := Caterpillar(11, rng(9), Options{})
+	g := build(t, "caterpillar", 11, 9, SeededOptions{})
 	checkGraph(t, g, 11, true)
 	if g.M() != 10 {
 		t.Fatalf("caterpillar M = %d", g.M())
@@ -114,8 +106,8 @@ func TestCaterpillar(t *testing.T) {
 }
 
 func TestRandomTree(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := RandomTree(40, rng(seed), Options{})
+	for seed := uint64(0); seed < 5; seed++ {
+		g := build(t, "tree", 40, seed, SeededOptions{})
 		checkGraph(t, g, 40, true)
 		if g.M() != 39 {
 			t.Fatalf("tree M = %d", g.M())
@@ -124,26 +116,26 @@ func TestRandomTree(t *testing.T) {
 }
 
 func TestRandomConnected(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := RandomConnected(30, 70, rng(seed), Options{})
+	for seed := uint64(0); seed < 5; seed++ {
+		g := RandomConnected(30, 70, seed, SeededOptions{})
 		checkGraph(t, g, 30, true)
 		if g.M() != 70 {
 			t.Fatalf("M = %d, want 70", g.M())
 		}
 	}
 	// Clamping.
-	g := RandomConnected(5, 1, rng(1), Options{})
+	g := RandomConnected(5, 1, 1, SeededOptions{})
 	if g.M() != 4 {
 		t.Fatalf("clamped low M = %d", g.M())
 	}
-	g = RandomConnected(5, 100, rng(1), Options{})
+	g = RandomConnected(5, 100, 1, SeededOptions{})
 	if g.M() != 10 {
 		t.Fatalf("clamped high M = %d", g.M())
 	}
 }
 
 func TestLollipop(t *testing.T) {
-	g := Lollipop(12, rng(30), Options{})
+	g := build(t, "lollipop", 12, 30, SeededOptions{})
 	checkGraph(t, g, 12, true)
 	clique := 6
 	wantM := clique*(clique-1)/2 + (12 - clique)
@@ -157,7 +149,7 @@ func TestLollipop(t *testing.T) {
 }
 
 func TestWheel(t *testing.T) {
-	g := Wheel(10, rng(31), Options{})
+	g := build(t, "wheel", 10, 31, SeededOptions{})
 	checkGraph(t, g, 10, true)
 	if g.M() != 2*(10-1) {
 		t.Fatalf("wheel M = %d", g.M())
@@ -171,7 +163,7 @@ func TestWheel(t *testing.T) {
 }
 
 func TestExpander(t *testing.T) {
-	g := Expander(50, 3, rng(10), Options{})
+	g := build(t, "expander", 50, 10, SeededOptions{})
 	checkGraph(t, g, 50, true)
 	if g.Diameter() > 10 {
 		t.Fatalf("expander diameter suspiciously large: %d", g.Diameter())
@@ -179,7 +171,7 @@ func TestExpander(t *testing.T) {
 }
 
 func TestWeightModes(t *testing.T) {
-	g := Complete(8, rng(11), Options{Weights: WeightsDistinct})
+	g := build(t, "complete", 8, 11, SeededOptions{Weights: WeightsDistinct})
 	seen := map[graph.Weight]bool{}
 	for _, e := range g.Edges() {
 		if seen[e.W] {
@@ -191,25 +183,18 @@ func TestWeightModes(t *testing.T) {
 		}
 	}
 
-	g = Complete(8, rng(12), Options{Weights: WeightsUnit})
+	g = build(t, "complete", 8, 12, SeededOptions{Weights: WeightsUnit})
 	for _, e := range g.Edges() {
 		if e.W != 1 {
 			t.Fatal("unit mode produced non-unit weight")
 		}
 	}
 
-	g = Complete(8, rng(13), Options{Weights: WeightsRandom})
-	ties := false
-	w0 := g.Edges()[0].W
+	// Random weights need not tie, but must lie in [1, m/2+1].
+	g = build(t, "complete", 8, 13, SeededOptions{Weights: WeightsRandom})
 	for _, e := range g.Edges() {
-		if e.W != w0 {
-			ties = true
-		}
-	}
-	_ = ties // random weights need not tie, but must be in range
-	for _, e := range g.Edges() {
-		if e.W < 1 {
-			t.Fatal("random weight below 1")
+		if e.W < 1 || e.W > graph.Weight(g.M()/2+1) {
+			t.Fatalf("random weight %d out of range", e.W)
 		}
 	}
 }
@@ -222,44 +207,29 @@ func TestWeightModeString(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := RandomConnected(25, 60, rng(99), Options{})
-	b := RandomConnected(25, 60, rng(99), Options{})
-	if a.N() != b.N() || a.M() != b.M() {
-		t.Fatal("same seed produced different shapes")
-	}
-	for i := 0; i < a.M(); i++ {
-		ea, eb := a.Edge(graph.EdgeID(i)), b.Edge(graph.EdgeID(i))
-		if ea != eb {
-			t.Fatalf("edge %d differs: %+v vs %+v", i, ea, eb)
-		}
-	}
-	for u := 0; u < a.N(); u++ {
-		if a.ID(graph.NodeID(u)) != b.ID(graph.NodeID(u)) {
-			t.Fatal("IDs differ across same-seed runs")
-		}
+	a := RandomConnected(25, 60, 99, SeededOptions{})
+	b := RandomConnected(25, 60, 99, SeededOptions{})
+	if err := graph.Equal(a, b); err != nil {
+		t.Fatalf("same seed produced different graphs: %v", err)
 	}
 }
 
 func TestPortShuffling(t *testing.T) {
 	// With KeepPorts the port labelling is canonical; without it two seeds
 	// should (almost surely) differ somewhere on a large graph.
-	a := Complete(10, rng(1), Options{KeepPorts: true, KeepIDs: true})
-	b := Complete(10, rng(2), Options{KeepPorts: true, KeepIDs: true})
-	same := true
+	a := build(t, "complete", 10, 1, SeededOptions{KeepPorts: true, KeepIDs: true})
+	b := build(t, "complete", 10, 2, SeededOptions{KeepPorts: true, KeepIDs: true})
 	for i := 0; i < a.M(); i++ {
 		ea, eb := a.Edge(graph.EdgeID(i)), b.Edge(graph.EdgeID(i))
-		if ea.U != eb.U || ea.V != eb.V {
-			same = false
+		if ea.U != eb.U || ea.V != eb.V || ea.PU != eb.PU || ea.PV != eb.PV {
+			t.Fatal("KeepPorts should fix the edge order and port labelling")
 		}
 	}
-	if !same {
-		t.Fatal("KeepPorts should fix the edge insertion order")
-	}
-	c := Complete(10, rng(3), Options{KeepIDs: true})
+	c := build(t, "complete", 10, 3, SeededOptions{KeepIDs: true})
 	diff := false
 	for i := 0; i < a.M(); i++ {
-		if a.Edge(graph.EdgeID(i)).U != c.Edge(graph.EdgeID(i)).U ||
-			a.Edge(graph.EdgeID(i)).V != c.Edge(graph.EdgeID(i)).V {
+		if a.Edge(graph.EdgeID(i)).PU != c.Edge(graph.EdgeID(i)).PU ||
+			a.Edge(graph.EdgeID(i)).PV != c.Edge(graph.EdgeID(i)).PV {
 			diff = true
 		}
 	}
@@ -269,7 +239,7 @@ func TestPortShuffling(t *testing.T) {
 }
 
 func TestKeepIDs(t *testing.T) {
-	g := Path(6, rng(20), Options{KeepIDs: true})
+	g := build(t, "path", 6, 20, SeededOptions{KeepIDs: true})
 	for u := 0; u < g.N(); u++ {
 		if g.ID(graph.NodeID(u)) != int64(u+1) {
 			t.Fatal("KeepIDs should give identity IDs")
@@ -278,17 +248,17 @@ func TestKeepIDs(t *testing.T) {
 }
 
 func TestFamilies(t *testing.T) {
-	for _, f := range Families() {
+	for _, name := range Names() {
 		for _, n := range []int{8, 33} {
-			g := f.Build(n, rng(int64(n)), Options{})
+			g := build(t, name, n, uint64(n), SeededOptions{})
 			if err := g.Validate(); err != nil {
-				t.Fatalf("family %s n=%d: %v", f.Name, n, err)
+				t.Fatalf("family %s n=%d: %v", name, n, err)
 			}
 			if !g.Connected() {
-				t.Fatalf("family %s n=%d: not connected", f.Name, n)
+				t.Fatalf("family %s n=%d: not connected", name, n)
 			}
 			if g.N() < n/2 || g.N() > 2*n {
-				t.Fatalf("family %s n=%d: produced %d nodes", f.Name, n, g.N())
+				t.Fatalf("family %s n=%d: produced %d nodes", name, n, g.N())
 			}
 		}
 	}
@@ -296,83 +266,70 @@ func TestFamilies(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	for _, name := range []string{"path", "ring", "grid", "tree", "random", "expander", "star", "caterpillar", "binarytree", "complete", "wheel", "lollipop"} {
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if f.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, f.Name)
+		if _, err := BuildSeeded(name, 10, 1, SeededOptions{}); err != nil {
+			t.Fatalf("BuildSeeded(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
+	if _, err := BuildSeeded("nope", 10, 1, SeededOptions{}); err == nil {
 		t.Fatal("expected error for unknown family")
 	}
 }
 
-// TestRegistryUnified pins the single-registry bugfix: every name ByName
-// accepts is listed by Families (and vice versa), so -family sweeps and
-// listings can never disagree again.
+// TestRegistryUnified pins the single family table: Names lists every
+// family exactly once, and every listed name builds, so -family sweeps
+// and listings can never disagree.
 func TestRegistryUnified(t *testing.T) {
-	names := Names()
-	if len(names) != len(Families()) {
-		t.Fatalf("Names has %d entries, Families %d", len(names), len(Families()))
-	}
 	seen := map[string]bool{}
-	for _, name := range names {
+	for _, name := range Names() {
 		if seen[name] {
 			t.Fatalf("duplicate registered family %q", name)
 		}
 		seen[name] = true
-		f, err := ByName(name)
-		if err != nil {
-			t.Fatalf("registered family %q not resolvable: %v", name, err)
+		if _, err := BuildSeeded(name, 10, 1, SeededOptions{}); err != nil {
+			t.Fatalf("registered family %q not buildable: %v", name, err)
 		}
-		if f.Name != name {
-			t.Fatalf("ByName(%q).Name = %q", name, f.Name)
-		}
+	}
+	if len(seen) != 12 {
+		t.Fatalf("%d families registered, want 12", len(seen))
 	}
 	for _, want := range []string{"star", "wheel", "lollipop", "caterpillar", "binarytree", "complete"} {
 		if !seen[want] {
-			t.Fatalf("family %q missing from the unified registry", want)
+			t.Fatalf("family %q missing from the family table", want)
 		}
 	}
 }
 
-// TestGenerate covers the error-returning entry points: valid sizes
-// succeed, invalid sizes and unknown families return errors (never
-// panics).
+// TestGenerate covers the error-returning entry point: valid sizes
+// succeed, sizes below the structural minimum are clamped up, and
+// n ≤ 0 or an unknown family return errors (never panics).
 func TestGenerate(t *testing.T) {
-	for _, f := range Families() {
-		g, err := f.Generate(10, rng(7), Options{})
-		if err != nil {
-			t.Fatalf("%s.Generate(10): %v", f.Name, err)
-		}
+	for _, name := range Names() {
+		g := build(t, name, 10, 7, SeededOptions{})
 		if err := g.Validate(); err != nil {
-			t.Fatalf("%s.Generate(10): %v", f.Name, err)
+			t.Fatalf("%s(10): %v", name, err)
 		}
-		if _, err := f.Generate(0, rng(7), Options{}); err == nil {
-			t.Fatalf("%s.Generate(0): expected error", f.Name)
+		if g := build(t, name, 1, 7, SeededOptions{}); !g.Connected() {
+			t.Fatalf("%s(1): clamped build not connected", name)
 		}
-		if _, err := f.Generate(-3, rng(7), Options{}); err == nil {
-			t.Fatalf("%s.Generate(-3): expected error", f.Name)
+		if _, err := BuildSeeded(name, 0, 7, SeededOptions{}); err == nil {
+			t.Fatalf("%s(0): expected error", name)
+		}
+		if _, err := BuildSeeded(name, -3, 7, SeededOptions{}); err == nil {
+			t.Fatalf("%s(-3): expected error", name)
 		}
 	}
-	if _, err := Build("nope", 8, rng(1), Options{}); err == nil {
-		t.Fatal("Build with unknown family: expected error")
-	}
-	if g, err := Build("ring", 8, rng(1), Options{}); err != nil || g.N() != 8 {
-		t.Fatalf("Build(ring, 8) = %v, %v", g, err)
+	if g := build(t, "ring", 8, 1, SeededOptions{}); g.N() != 8 {
+		t.Fatalf("ring(8) has %d nodes", g.N())
 	}
 }
 
+// TestGeneratorPanics pins that the two shape builders reject invalid
+// sizes by panicking, as a programming error.
 func TestGeneratorPanics(t *testing.T) {
 	cases := []func(){
-		func() { Path(0, rng(1), Options{}) },
-		func() { Ring(2, rng(1), Options{}) },
-		func() { Grid(0, 3, rng(1), Options{}) },
-		func() { Torus(2, 3, rng(1), Options{}) },
-		func() { Hypercube(0, rng(1), Options{}) },
-		func() { Star(1, rng(1), Options{}) },
+		func() { RandomConnected(0, 3, 1, SeededOptions{}) },
+		func() { Grid(0, 3, 1, SeededOptions{}) },
+		func() { Grid(3, -1, 1, SeededOptions{}) },
 	}
 	for i, f := range cases {
 		func() {
@@ -383,5 +340,20 @@ func TestGeneratorPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestGeneratorsDeterministic pins that the randomised builders are a
+// pure function of the seed, whatever the worker count.
+func TestGeneratorsDeterministic(t *testing.T) {
+	g1 := RandomConnected(200, 600, 9, SeededOptions{Workers: 1})
+	g2 := RandomConnected(200, 600, 9, SeededOptions{Workers: 4})
+	if err := graph.Equal(g1, g2); err != nil {
+		t.Fatalf("RandomConnected not deterministic: %v", err)
+	}
+	x1 := build(t, "expander", 150, 10, SeededOptions{Workers: 1})
+	x2 := build(t, "expander", 150, 10, SeededOptions{Workers: 4})
+	if err := graph.Equal(x1, x2); err != nil {
+		t.Fatalf("expander not deterministic: %v", err)
 	}
 }

@@ -3,16 +3,14 @@ package gen
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
-	"mstadvice/internal/graph"
 	"mstadvice/internal/par"
 )
 
-// This file is the parallel seeded generation path: the same 12 families
-// as the *rand.Rand generators, rebuilt so that every random quantity is
-// a pointwise function of (seed, purpose, index) and the whole build runs
-// on the worker pool with byte-identical output for any worker count.
+// This file holds the randomness behind the generators: every random
+// quantity is a pointwise function of (seed, purpose, index), so the
+// whole build runs on the worker pool with byte-identical output for
+// any worker count.
 //
 // Three primitives carry the construction (DESIGN.md §2.12):
 //
@@ -21,16 +19,13 @@ import (
 //     evaluate any draw with no shared state, and each stream is a
 //     bijection of the counter, so draws never collide within a stream;
 //   - Feistel cycle-walking bijections over [0, N): pointwise random
-//     permutations (with a pointwise inverse) replacing rng.Perm and
-//     rng.Shuffle for ID relabelling, weight permutations, port
-//     shuffling, and distinct-pair sampling;
-//   - sort-based assembly: ports are ranks in a par.SortU64 pass over
-//     packed (node, sequence) half-edge keys, and the CSR is scattered
-//     by graph.FromEdgeList — disjoint writes everywhere.
+//     permutations (with a pointwise inverse) for ID relabelling,
+//     weight permutations, port shuffling, and distinct-pair sampling;
+//   - sort-based assembly (gen.go): ports are ranks in a par.SortU64
+//     pass over packed (node, sequence) half-edge keys, and the CSR is
+//     scattered by graph.FromEdgeList — disjoint writes everywhere.
 //
-// The output of this path is pinned by its own goldens (seeded_test.go);
-// it intentionally differs from the sequential generators' bytes, which
-// remain pinned by the store goldens.
+// The output is pinned by goldens (seeded_test.go).
 
 // splitmixGolden is the SplitMix64 increment; mix is its finalizer, a
 // bijective avalanche (same constants as internal/sim's latency model).
@@ -140,134 +135,6 @@ func (b bijection) invert(x int) int {
 	}
 }
 
-// SeededOptions control BuildSeeded. Workers sizes the pool used during
-// generation; it never affects the generated bytes.
-type SeededOptions struct {
-	Weights   WeightMode
-	KeepPorts bool // identity port labelling instead of a seeded shuffle
-	KeepIDs   bool // identity IDs 1..n instead of a seeded permutation
-	Workers   int
-}
-
-// seqEdge is an edge endpoint pair plus its position in the generation
-// sequence (the seeded analogue of insertion order).
-type seqEdge struct {
-	u, v int
-}
-
-// edgeList produces the endpoint pairs of a family as a pointwise
-// function: count is the edge count, at(i) the i-th pair. Deterministic
-// families enumerate their structure directly; randomised families
-// compose the substream primitives. All pairs are distinct and free of
-// self-loops by construction (see the per-family notes).
-type edgeList struct {
-	n     int
-	count int
-	at    func(i int) seqEdge
-}
-
-// seededFamily builds the edge list of the named family (the same names
-// and MinN clamping as the registry; grid rounds to a square like the
-// sequential path).
-func seededFamily(name string, n int, seed uint64, workers int) (edgeList, error) {
-	switch name {
-	case "path":
-		n = atLeast(n, 1)
-		return edgeList{n, n - 1, func(i int) seqEdge { return seqEdge{i, i + 1} }}, nil
-	case "ring":
-		n = atLeast(n, 3)
-		return edgeList{n, n, func(i int) seqEdge { return seqEdge{i, (i + 1) % n} }}, nil
-	case "grid":
-		side := 1
-		for (side+1)*(side+1) <= n {
-			side++
-		}
-		if side < 2 {
-			side = 2
-		}
-		s := side
-		horiz := s * (s - 1)
-		return edgeList{s * s, 2 * horiz, func(i int) seqEdge {
-			if i < horiz { // row r, column c to c+1
-				r, c := i/(s-1), i%(s-1)
-				return seqEdge{r*s + c, r*s + c + 1}
-			}
-			j := i - horiz // row r to r+1, column c
-			r, c := j/s, j%s
-			return seqEdge{r*s + c, (r+1)*s + c}
-		}}, nil
-	case "star":
-		n = atLeast(n, 2)
-		return edgeList{n, n - 1, func(i int) seqEdge { return seqEdge{0, i + 1} }}, nil
-	case "caterpillar":
-		n = atLeast(n, 2)
-		spine := (n + 1) / 2
-		return edgeList{n, n - 1, func(i int) seqEdge {
-			if i < spine-1 {
-				return seqEdge{i, i + 1}
-			}
-			j := i - (spine - 1) // leg j hangs off spine node j mod spine
-			return seqEdge{j % spine, spine + j}
-		}}, nil
-	case "binarytree":
-		n = atLeast(n, 1)
-		return edgeList{n, n - 1, func(i int) seqEdge { return seqEdge{i / 2, i + 1} }}, nil
-	case "complete":
-		n = atLeast(n, 1)
-		return completeEdges(n), nil
-	case "wheel":
-		n = atLeast(n, 4)
-		return edgeList{n, 2 * (n - 1), func(i int) seqEdge {
-			if i < n-1 { // spokes
-				return seqEdge{0, i + 1}
-			}
-			j := i - (n - 1) // rim
-			next := j + 2
-			if next == n {
-				next = 1
-			}
-			return seqEdge{j + 1, next}
-		}}, nil
-	case "lollipop":
-		n = atLeast(n, 4)
-		clique := (n + 1) / 2
-		core := completeEdges(clique)
-		return edgeList{n, core.count + (n - clique), func(i int) seqEdge {
-			if i < core.count {
-				return core.at(i)
-			}
-			j := i - core.count // tail node clique+j
-			if j == 0 {
-				return seqEdge{0, clique}
-			}
-			return seqEdge{clique + j - 1, clique + j}
-		}}, nil
-	case "tree":
-		n = atLeast(n, 1)
-		tkey := streamKey(seed, purposeTree)
-		return edgeList{n, n - 1, func(i int) seqEdge {
-			// node i+1 attaches to a uniform earlier node — the same
-			// random-attachment model as RandomTree.
-			return seqEdge{drawMod(tkey, uint64(i), i+1), i + 1}
-		}}, nil
-	case "random":
-		n = atLeast(n, 1)
-		return randomConnectedEdges(n, 3*n, seed, workers)
-	case "expander":
-		n = atLeast(n, 3)
-		return expanderEdges(n, 3, seed, workers)
-	default:
-		return edgeList{}, fmt.Errorf("gen: unknown family %q (have %v)", name, Names())
-	}
-}
-
-// completeEdges enumerates K_n's pairs in row order: all pairs (0, v),
-// then (1, v), ... Unranking binary-searches the row prefix sums, so
-// at(i) stays pointwise at O(log n).
-func completeEdges(n int) edgeList {
-	return edgeList{n, n * (n - 1) / 2, func(i int) seqEdge { return pairAt(n, i) }}
-}
-
 // pairAt unranks pair index i of K_n in row order: row u holds n-1-u
 // pairs (u, u+1..n-1), so pairs before row u total u·(n-1) − u(u−1)/2;
 // binary search finds the largest u whose prefix is ≤ i. O(log n),
@@ -286,7 +153,7 @@ func pairAt(n, i int) seqEdge {
 	return seqEdge{u, u + 1 + (i - (u*(n-1) - u*(u-1)/2))}
 }
 
-// randomConnectedEdges is the seeded analogue of RandomConnected: a
+// randomConnectedEdges is the edge list behind RandomConnected: a
 // random attachment tree over a seeded node permutation, plus extra
 // edges sampled without replacement from the non-tree pairs.
 //
@@ -410,22 +277,27 @@ func sortedContains(keys []uint64, key uint64) bool {
 	return lo < len(keys) && keys[lo] == key
 }
 
-// expanderEdges is the seeded analogue of Expander: k seeded Hamiltonian
+// expanderCycles is the number of Hamiltonian cycles in the "expander"
+// family: a near-6-regular, low-diameter graph.
+const expanderCycles = 3
+
+// expanderEdges is the union of expanderCycles seeded Hamiltonian
 // cycles with duplicates dropped, first occurrence (in cycle-major
-// sequence order) winning. Within one cycle the n consecutive pairs are
-// distinct, so only the cross-cycle dedup needs work: a par.SortU64 pass
-// over (pair, sequence) keys groups duplicates, a second pass restores
-// sequence order of the survivors. The packed key spends 2·⌈log₂ n⌉ bits
-// on the pair and ⌈log₂ kn⌉ on the sequence, which bounds this path to
-// n ≤ 2²⁰ — far above every sweep; beyond it a sequential pairSet pass
-// produces the identical result.
-func expanderEdges(n, k int, seed uint64, workers int) (edgeList, error) {
-	cycles := make([]bijection, k)
+// sequence order) winning.
+func expanderEdges(n int, seed uint64, workers int) (edgeList, error) {
+	total, candAt := expanderCandidates(n, seed)
+	order := firstOccurrences(n, total, candAt, workers)
+	return edgeList{n, len(order), func(i int) seqEdge { return candAt(int(order[i])) }}, nil
+}
+
+// expanderCandidates enumerates the expander's candidate edges: the n
+// consecutive pairs of each seeded cycle, in (cycle, position) order.
+func expanderCandidates(n int, seed uint64) (int, func(s int) seqEdge) {
+	cycles := make([]bijection, expanderCycles)
 	for c := range cycles {
 		cycles[c] = newBijection(n, streamKey(seed, purposeCycle+uint64(c)*16))
 	}
-	total := k * n
-	candAt := func(s int) seqEdge { // candidate s in (cycle, position) order
+	return expanderCycles * n, func(s int) seqEdge {
 		c, i := s/n, s%n
 		u, v := cycles[c].apply(i), cycles[c].apply((i+1)%n)
 		if u > v {
@@ -433,164 +305,66 @@ func expanderEdges(n, k int, seed uint64, workers int) (edgeList, error) {
 		}
 		return seqEdge{u, v}
 	}
-	nodeBits := uint(bits.Len64(uint64(n - 1)))
-	seqBits := uint(bits.Len64(uint64(total - 1)))
-	var order []int32 // surviving candidate sequence numbers, in order
-	if 2*nodeBits+seqBits <= 64 {
-		workers = par.Workers(workers)
-		keys := make([]uint64, total)
-		par.Ranges(workers, total, func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				e := candAt(s)
-				keys[s] = (uint64(e.u)<<nodeBits|uint64(e.v))<<seqBits | uint64(s)
-			}
-		})
-		par.SortU64(workers, keys)
-		// Equal pairs are adjacent, ordered by sequence: keep group heads.
-		heads := make([]int32, total)
-		par.Ranges(workers, total, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i == 0 || keys[i]>>seqBits != keys[i-1]>>seqBits {
-					heads[i] = 1
-				}
-			}
-		})
-		seqMask := uint64(1)<<seqBits - 1
-		surv := make([]uint64, 0, total)
-		for i, h := range heads {
-			if h == 1 {
-				surv = append(surv, keys[i]&seqMask)
-			}
-		}
-		par.SortU64(workers, surv)
-		order = make([]int32, len(surv))
-		for i, s := range surv {
-			order[i] = int32(s)
-		}
-	} else {
-		seen := newPairSet(total)
-		for s := 0; s < total; s++ {
-			e := candAt(s)
-			if seen.add(e.u, e.v) {
-				order = append(order, int32(s))
-			}
-		}
-	}
-	return edgeList{n, len(order), func(i int) seqEdge { return candAt(int(order[i])) }}, nil
 }
 
-// BuildSeeded generates a graph of the named family with the parallel
-// seeded pipeline. The same (name, n, seed, Weights, KeepPorts, KeepIDs)
-// always produce the same graph, bit for bit, regardless of Workers or
-// GOMAXPROCS; the bytes are pinned by goldens in seeded_test.go and are
-// deliberately distinct from the sequential generators' (whose bytes the
-// store goldens pin).
-func BuildSeeded(name string, n int, seed uint64, opt SeededOptions) (*graph.Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gen: family %q: need at least 1 node, got %d", name, n)
+// firstOccurrences returns, in increasing order, every sequence number
+// s < total whose pair cand(s) (endpoints < n) no smaller s produced. A
+// par.SortU64 pass over (pair, sequence) keys groups duplicates and a
+// second pass restores sequence order of the survivors. The packed key
+// spends 2·⌈log₂ n⌉ bits on the pair and ⌈log₂ total⌉ on the sequence,
+// which bounds this path to n ≤ 2²⁰ for the expander — far above every
+// sweep; beyond it firstOccurrencesMap produces the identical result.
+func firstOccurrences(n, total int, cand func(s int) seqEdge, workers int) []int32 {
+	nodeBits := uint(bits.Len64(uint64(n - 1)))
+	seqBits := uint(bits.Len64(uint64(total - 1)))
+	if 2*nodeBits+seqBits > 64 {
+		return firstOccurrencesMap(total, cand)
 	}
-	workers := par.Workers(opt.Workers)
-	list, err := seededFamily(name, n, seed, workers)
-	if err != nil {
-		return nil, err
-	}
-	n = list.n
-	m := list.count
-	edges := make([]graph.Edge, m)
-
-	// Endpoints and weights, pointwise over edges.
-	wkey := streamKey(seed, purposeWeight)
-	var wperm bijection
-	if opt.Weights == WeightsDistinct && m > 0 {
-		wperm = newBijection(m, wkey)
-	}
-	wmax := m/2 + 1
-	par.Ranges(workers, m, func(_, lo, hi int) {
+	workers = par.Workers(workers)
+	keys := make([]uint64, total)
+	par.Ranges(workers, total, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			e := cand(s)
+			keys[s] = (uint64(e.u)<<nodeBits|uint64(e.v))<<seqBits | uint64(s)
+		}
+	})
+	par.SortU64(workers, keys)
+	// Equal pairs are adjacent, ordered by sequence: keep group heads.
+	heads := make([]int32, total)
+	par.Ranges(workers, total, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := list.at(i)
-			var w graph.Weight
-			switch opt.Weights {
-			case WeightsDistinct:
-				w = graph.Weight(wperm.apply(i) + 1)
-			case WeightsRandom:
-				w = graph.Weight(int(draw(wkey, uint64(i))%uint64(wmax)) + 1)
-			case WeightsUnit:
-				w = 1
-			default:
-				panic(fmt.Sprintf("gen: unknown weight mode %d", int(opt.Weights)))
+			if i == 0 || keys[i]>>seqBits != keys[i-1]>>seqBits {
+				heads[i] = 1
 			}
-			edges[i] = graph.Edge{U: graph.NodeID(e.u), V: graph.NodeID(e.v), W: w}
 		}
 	})
+	seqMask := uint64(1)<<seqBits - 1
+	surv := make([]uint64, 0, total)
+	for i, h := range heads {
+		if h == 1 {
+			surv = append(surv, keys[i]&seqMask)
+		}
+	}
+	par.SortU64(workers, surv)
+	order := make([]int32, len(surv))
+	for i, s := range surv {
+		order[i] = int32(s)
+	}
+	return order
+}
 
-	// Ports: rank of the edge's shuffled sequence number among the edges
-	// at each endpoint. One sort of packed (node, sequence, side) keys
-	// yields every rank as position − CSR offset; the sequence number is
-	// inverted back to the edge to scatter the rank into its record.
-	sperm := bijection{}
-	if !opt.KeepPorts && m > 0 {
-		sperm = newBijection(m, streamKey(seed, purposePorts))
-	}
-	seqOf := func(i int) int {
-		if opt.KeepPorts || m == 0 {
-			return i
+// firstOccurrencesMap is firstOccurrences by one sequential pass over a
+// set of seen pairs, for keys too wide to pack into 64 bits.
+func firstOccurrencesMap(total int, cand func(s int) seqEdge) []int32 {
+	var order []int32
+	seen := make(map[uint64]struct{}, total)
+	for s := 0; s < total; s++ {
+		e := cand(s)
+		key := uint64(e.u)<<32 | uint64(e.v)
+		if _, dup := seen[key]; !dup {
+			seen[key] = struct{}{}
+			order = append(order, int32(s))
 		}
-		return sperm.apply(i)
 	}
-	edgeOf := func(s int) int {
-		if opt.KeepPorts || m == 0 {
-			return s
-		}
-		return sperm.invert(s)
-	}
-	halfKeys := make([]uint64, 2*m)
-	deg := make([]int32, n)
-	par.Ranges(workers, m, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := uint64(seqOf(i))
-			e := edges[i]
-			halfKeys[2*i] = uint64(e.U)<<33 | s<<1
-			halfKeys[2*i+1] = uint64(e.V)<<33 | s<<1 | 1
-			atomic.AddInt32(&deg[e.U], 1)
-			atomic.AddInt32(&deg[e.V], 1)
-		}
-	})
-	par.SortU64(workers, halfKeys)
-	off := make([]int32, n+1)
-	acc := int32(0)
-	for u := 0; u < n; u++ {
-		off[u] = acc
-		acc += deg[u]
-	}
-	off[n] = acc
-	par.Ranges(workers, 2*m, func(_, lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			key := halfKeys[pos]
-			u := int(key >> 33)
-			i := edgeOf(int(key << 31 >> 32)) // middle 32 bits: sequence number
-			port := pos - int(off[u])
-			if key&1 == 0 {
-				edges[i].PU = port
-			} else {
-				edges[i].PV = port
-			}
-		}
-	})
-
-	// IDs: seeded permutation of 1..n (identity under KeepIDs).
-	var ids []int64
-	if !opt.KeepIDs {
-		idperm := newBijection(n, streamKey(seed, purposeIDs))
-		ids = make([]int64, n)
-		par.Ranges(workers, n, func(_, lo, hi int) {
-			for u := lo; u < hi; u++ {
-				ids[u] = int64(idperm.apply(u) + 1)
-			}
-		})
-	}
-	g, err := graph.FromEdgeList(n, ids, edges, workers)
-	if err != nil {
-		return nil, fmt.Errorf("gen: seeded %q n=%d seed=%d: %w", name, n, seed, err)
-	}
-	return g, nil
+	return order
 }

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 	"testing"
@@ -118,6 +117,17 @@ var seededGoldens = map[string]uint64{
 	"lollipop":    0x4ee09a8605f6a521,
 }
 
+// shapeGoldens pins the two shape builders off the family diagonal: a
+// random graph with m != 3n and a non-square grid, at seed 1234.
+var shapeGoldens = []struct {
+	name  string
+	build func() *graph.Graph
+	want  uint64
+}{
+	{"RandomConnected(97, 200)", func() *graph.Graph { return RandomConnected(97, 200, 1234, SeededOptions{Workers: 3}) }, 0x7838ec7a75ff09d5},
+	{"Grid(6, 9)", func() *graph.Graph { return Grid(6, 9, 1234, SeededOptions{Workers: 3}) }, 0x1d59b36b3d558b6a},
+}
+
 func TestSeededGolden(t *testing.T) {
 	for _, name := range Names() {
 		g, err := BuildSeeded(name, 97, 1234, SeededOptions{Workers: 3})
@@ -132,6 +142,11 @@ func TestSeededGolden(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: fingerprint %#x != pinned golden %#x (seeded generator output changed)", name, got, want)
+		}
+	}
+	for _, tc := range shapeGoldens {
+		if got := fingerprint(tc.build()); got != tc.want {
+			t.Errorf("%s: fingerprint %#x != pinned golden %#x (generator output changed)", tc.name, got, tc.want)
 		}
 	}
 }
@@ -173,33 +188,35 @@ func degreeStats(g *graph.Graph) (mean, variance float64) {
 	return mean, variance / float64(n)
 }
 
-// TestSeededDistributionMatchesSequential compares the seeded parallel
-// generators against the sequential ones statistically: same edge
-// counts, equal mean degree, degree variance within 25%, and the same
-// weight-mode invariants (a distinct-mode weight set is exactly 1..m;
-// random-mode means agree within 5%). Fixed seeds keep it deterministic.
+// TestSeededDistributionMatchesSequential holds the random families to
+// their analytic shape: the random family has exactly m = 3n edges
+// (mean degree 2m/n), is connected and Validate-clean, and its distinct
+// weights are a permutation of 1..m; random-mode weights average the
+// uniform expectation within 5%; and the expander — three Hamiltonian
+// cycles with duplicates dropped — has mean degree in [6·0.98, 6].
+// Fixed seeds keep it deterministic.
 func TestSeededDistributionMatchesSequential(t *testing.T) {
 	const n = 4000
-	seqG := RandomConnected(n, 3*n, rand.New(rand.NewSource(5)), Options{})
-	parG, err := BuildSeeded("random", n, 5, SeededOptions{Workers: 4})
+	g, err := BuildSeeded("random", n, 5, SeededOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqG.M() != parG.M() {
-		t.Fatalf("edge counts differ: seq %d, seeded %d", seqG.M(), parG.M())
+	if g.M() != 3*n {
+		t.Fatalf("random family has %d edges, want %d", g.M(), 3*n)
 	}
-	sMean, sVar := degreeStats(seqG)
-	pMean, pVar := degreeStats(parG)
-	if sMean != pMean {
-		t.Errorf("mean degree differs: seq %v, seeded %v", sMean, pMean)
+	if mean, _ := degreeStats(g); mean != 2*float64(g.M())/n {
+		t.Errorf("mean degree %v, want 2m/n = %v", mean, 2*float64(g.M())/n)
 	}
-	if ratio := pVar / sVar; ratio < 0.75 || ratio > 1.33 {
-		t.Errorf("degree variance ratio %.3f outside [0.75, 1.33] (seq %.3f, seeded %.3f)", ratio, sVar, pVar)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !g.Connected() {
+		t.Fatal("random family is disconnected")
 	}
 
 	// Distinct weights must be exactly the permutation 1..m.
-	ws := make([]int, parG.M())
-	for i, e := range parG.Edges() {
+	ws := make([]int, g.M())
+	for i, e := range g.Edges() {
 		ws[i] = int(e.W)
 	}
 	sort.Ints(ws)
@@ -224,17 +241,13 @@ func TestSeededDistributionMatchesSequential(t *testing.T) {
 		t.Errorf("random weight mean %.1f vs expected %.1f", mean, expect)
 	}
 
-	// Expander: same construction (3 Hamiltonian cycles, dups dropped),
-	// so mean degree must agree within 2%.
-	seqE := Expander(n, 3, rand.New(rand.NewSource(9)), Options{})
-	parE, err := BuildSeeded("expander", n, 9, SeededOptions{Workers: 4})
+	// Expander: 2·3 = 6 before duplicates are dropped, and few are.
+	e, err := BuildSeeded("expander", n, 9, SeededOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seMean, _ := degreeStats(seqE)
-	peMean, _ := degreeStats(parE)
-	if peMean < 0.98*seMean || peMean > 1.02*seMean {
-		t.Errorf("expander mean degree: seq %.3f, seeded %.3f", seMean, peMean)
+	if eMean, _ := degreeStats(e); eMean < 6*0.98 || eMean > 6 {
+		t.Errorf("expander mean degree %.3f outside [%.2f, 6]", eMean, 6*0.98)
 	}
 }
 
@@ -260,5 +273,32 @@ func TestSeededOptionsRespected(t *testing.T) {
 	}
 	if fingerprint(a) == fingerprint(b) {
 		t.Error("different seeds produced identical graphs")
+	}
+}
+
+// TestExpanderDedupFallback pins the map-based dedup the expander falls
+// back to once its packed keys outgrow 64 bits (n ≳ 1.4·10⁶, which no
+// test builds) to the sorted-key path, on the same candidate streams at
+// small n.
+func TestExpanderDedupFallback(t *testing.T) {
+	for _, n := range []int{150, 4000} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			total, cand := expanderCandidates(n, seed)
+			want := firstOccurrencesMap(total, cand)
+			if len(want) == total {
+				t.Errorf("n=%d seed=%d: no duplicate candidates, the comparison is vacuous", n, seed)
+			}
+			for _, workers := range []int{1, 4} {
+				got := firstOccurrences(n, total, cand, workers)
+				if len(got) != len(want) {
+					t.Fatalf("n=%d seed=%d workers=%d: %d survivors, map fallback %d", n, seed, workers, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d seed=%d workers=%d: survivor %d is %d, map fallback %d", n, seed, workers, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

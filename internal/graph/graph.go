@@ -136,6 +136,10 @@ func (g *Graph) MaxDegree() int {
 // across nodes but otherwise arbitrary.
 func (g *Graph) ID(u NodeID) int64 { return g.ids[u] }
 
+// IDs returns the protocol-level identifiers of all nodes, indexed by
+// NodeID. The returned slice must not be modified.
+func (g *Graph) IDs() []int64 { return g.ids }
+
 // Adj returns u's half-edges in port order. The returned slice must not be
 // modified. It is an alias of Halves.
 func (g *Graph) Adj(u NodeID) []Half { return g.adj[u] }
@@ -592,43 +596,6 @@ func NewBuilder(n int) *Builder {
 	for i := range b.ids {
 		b.ids[i] = int64(i + 1)
 	}
-	return b
-}
-
-// Grow preallocates the adjacency lists for the given per-node degrees in
-// one contiguous slab and reserves the edge array, so a generator that
-// knows its edge list up front builds the graph with O(1) allocations
-// instead of O(n) incremental slice growths. Degrees are capacities, not
-// limits: a node may still exceed its reservation (that slice falls back
-// to ordinary append growth). Grow must be called before the first
-// AddEdge.
-func (b *Builder) Grow(degrees []int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if len(degrees) != len(b.adj) {
-		b.fail(fmt.Errorf("graph: Grow got %d degrees for %d nodes", len(degrees), len(b.adj)))
-		return b
-	}
-	if len(b.edges) > 0 {
-		b.fail(fmt.Errorf("graph: Grow called after %d AddEdge calls", len(b.edges)))
-		return b
-	}
-	total := 0
-	for u, d := range degrees {
-		if d < 0 {
-			b.fail(fmt.Errorf("graph: Grow got negative degree %d for node %d", d, u))
-			return b
-		}
-		total += d
-	}
-	slab := make([]Half, total)
-	off := 0
-	for u, d := range degrees {
-		b.adj[u] = slab[off : off : off+d]
-		off += d
-	}
-	b.edges = make([]Edge, 0, total/2)
 	return b
 }
 

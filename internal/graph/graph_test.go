@@ -400,20 +400,27 @@ func TestCSRRepresentation(t *testing.T) {
 	}
 }
 
+// fromRecords rebuilds g from copies of its ID and edge records, the
+// way the store codec does after decoding them.
+func fromRecords(g *Graph) (*Graph, error) {
+	ids := append([]int64(nil), g.IDs()...)
+	return FromEdgeList(g.N(), ids, append([]Edge(nil), g.Edges()...), 0)
+}
+
 func TestFromRecordsRoundTrip(t *testing.T) {
 	g := triangle(t)
-	back, err := FromRecords(g.IDs(), g.Edges())
+	back, err := fromRecords(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Equal(g, back); err != nil {
-		t.Fatalf("FromRecords round-trip: %v", err)
+		t.Fatalf("FromEdgeList round-trip: %v", err)
 	}
 }
 
 func TestFromRecordsAfterDeletion(t *testing.T) {
 	// Deletions swap-remove ports, so the surviving records no longer have
-	// insertion-order ports; FromRecords must still reproduce them exactly.
+	// insertion-order ports; FromEdgeList must still reproduce them exactly.
 	g := NewBuilder(4).
 		AddEdge(0, 1, 1).
 		AddEdge(1, 2, 2).
@@ -424,12 +431,12 @@ func TestFromRecordsAfterDeletion(t *testing.T) {
 	if err := g.ApplyBatch(Batch{Deletions: []EdgeID{0}}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromRecords(g.IDs(), g.Edges())
+	back, err := fromRecords(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Equal(g, back); err != nil {
-		t.Fatalf("FromRecords after deletion: %v", err)
+		t.Fatalf("FromEdgeList after deletion: %v", err)
 	}
 }
 
@@ -452,8 +459,28 @@ func TestFromRecordsRejectsMalformed(t *testing.T) {
 		},
 	}
 	for name, edges := range cases {
-		if _, err := FromRecords(ids, edges); err == nil {
-			t.Errorf("%s: FromRecords accepted malformed records", name)
+		if _, err := FromEdgeList(len(ids), ids, edges, 0); err == nil {
+			t.Errorf("%s: FromEdgeList accepted malformed records", name)
+		}
+	}
+
+	// A port collision across parallel chunks: a 3·4096-edge ring whose
+	// closing edge also claims port 0 of node 0, which edge 0 holds. The
+	// chunks scatter concurrently, so under -race this pins that the
+	// claim is a CAS and not two plain writes to one slot.
+	const n = 3 * 4096
+	ring := make([]Edge, n)
+	for i := range ring {
+		ring[i] = Edge{U: NodeID(i), V: NodeID((i + 1) % n), PU: 0, PV: 1, W: Weight(i + 1)}
+	}
+	if _, err := FromEdgeList(n, nil, ring, 4); err != nil {
+		t.Fatalf("valid ring rejected: %v", err)
+	}
+	ring[n-1].PV = 0
+	for _, workers := range []int{1, 4} {
+		_, err := FromEdgeList(n, nil, ring, workers)
+		if err == nil || !strings.Contains(err.Error(), "claim port 0 of node 0") {
+			t.Errorf("workers=%d: port collision across chunks: got %v", workers, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package hier_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -19,11 +18,10 @@ import (
 // verifies on every registered graph family, at several levels, on the
 // synchronous engine, with the exact fixed round count.
 func TestHierAllFamilies(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(21))
-			g, err := fam.Generate(60, rng, gen.Options{})
+		t.Run(fam, func(t *testing.T) {
+			g, err := gen.BuildSeeded(fam, 60, 21, gen.SeededOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,11 +45,10 @@ func TestHierAllFamilies(t *testing.T) {
 // α-synchronizer on the asynchronous engine: it must still verify, and
 // its simulated round count (pulses) must equal the synchronous one.
 func TestHierAsyncParity(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(22))
-			g, err := fam.Generate(40, rng, gen.Options{})
+		t.Run(fam, func(t *testing.T) {
+			g, err := gen.BuildSeeded(fam, 40, 22, gen.SeededOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +70,7 @@ func TestHierAsyncParity(t *testing.T) {
 // contract: byte-identical advice and identical run results for any
 // worker count, sequential included.
 func TestHierWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := gen.RandomConnected(300, 900, rng, gen.Options{})
+	g := gen.RandomConnected(300, 900, 23, gen.SeededOptions{})
 	s := hier.Scheme{Level: 3}
 	ref, err := s.AdviseWorkers(g, 0, 1)
 	if err != nil {
@@ -135,8 +131,7 @@ func TestHierSchemeRouting(t *testing.T) {
 // ⌈log n⌉ per fragment and Lemma 1 halves the fragment count per
 // level), and the estimate used by the planner upper-bounds the truth.
 func TestHierBitsFall(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	g := gen.RandomConnected(500, 1500, rng, gen.Options{})
+	g := gen.RandomConnected(500, 1500, 24, gen.SeededOptions{})
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +159,7 @@ func TestHierBitsFall(t *testing.T) {
 // TestPlanLevel pins the level-cut planner: finest affordable level,
 // coarsest when nothing (or no budget) fits.
 func TestPlanLevel(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	g := gen.RandomConnected(400, 1200, rng, gen.Options{})
+	g := gen.RandomConnected(400, 1200, 25, gen.SeededOptions{})
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +190,8 @@ func TestPlanLevel(t *testing.T) {
 // TestHierTinyGraphs sweeps the degenerate sizes the schedule's edge
 // cases live at.
 func TestHierTinyGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
 	for n := 2; n <= 9; n++ {
-		g := gen.Path(n, rng, gen.Options{})
+		g := mustGen("path", n, 26, gen.SeededOptions{})
 		res, err := advice.Run(hier.Scheme{Level: 1}, g, graph.NodeID(n/2), sim.Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -214,8 +207,7 @@ func TestHierTinyGraphs(t *testing.T) {
 // match the reference parent ports, and per-fragment carrier totals of
 // exactly ⌈log n⌉ bits.
 func TestHierAdviceSelfDescribing(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	g := gen.RandomConnected(200, 600, rng, gen.Options{})
+	g := gen.RandomConnected(200, 600, 27, gen.SeededOptions{})
 	level := 2
 	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
 	if err != nil {
@@ -247,4 +239,14 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 			t.Fatalf("fragment %d: %d carrier bits, want exactly %d", f.ID, carriers, width)
 		}
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -1,7 +1,6 @@
 package localorder
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -25,10 +24,9 @@ func viewOf(g *graph.Graph, u graph.NodeID) (portW []graph.Weight, selfID int64,
 
 // The node-side local order must agree with the centralized graph methods.
 func TestLocalAgreesWithGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 30; trial++ {
 		mode := []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit}[trial%3]
-		g := gen.RandomConnected(12, 30, rng, gen.Options{Weights: mode})
+		g := gen.RandomConnected(12, 30, 1, gen.SeededOptions{Weights: mode})
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, _, _, _ := viewOf(g, u)
 			want := g.PortsByLocalOrder(u)
@@ -54,10 +52,9 @@ func TestLocalAgreesWithGraph(t *testing.T) {
 
 // The node-side global order must agree with the centralized graph methods.
 func TestGlobalAgreesWithGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
 		mode := []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit}[trial%3]
-		g := gen.RandomConnected(12, 30, rng, gen.Options{Weights: mode})
+		g := gen.RandomConnected(12, 30, 2, gen.SeededOptions{Weights: mode})
 		for u := graph.NodeID(0); int(u) < g.N(); u++ {
 			portW, selfID, nbrID, nbrPort := viewOf(g, u)
 			want := g.PortsByGlobalOrder(u)

@@ -65,8 +65,7 @@ func TestSingleNode(t *testing.T) {
 func TestReverseDelete(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsUnit} {
 		for _, n := range []int{2, 6, 15, 24} {
-			rng := rand.New(rand.NewSource(int64(n) + int64(mode)*31))
-			g := gen.RandomConnected(n, 3*n, rng, gen.Options{Weights: mode})
+			g := gen.RandomConnected(n, 3*n, uint64(n+int(mode)*31), gen.SeededOptions{Weights: mode})
 			want, err := Kruskal(g)
 			if err != nil {
 				t.Fatal(err)
@@ -91,33 +90,33 @@ func TestReverseDelete(t *testing.T) {
 // weight modes (including heavy ties) and seeds.
 func TestAlgorithmsAgree(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{2, 5, 16, 40} {
-				if fam.Name == "ring" && n < 3 {
+				if fam == "ring" && n < 3 {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n)*31 + int64(mode)))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := mustGen(fam, n, rng.Uint64(), gen.SeededOptions{Weights: mode})
 				k, err := Kruskal(g)
 				if err != nil {
-					t.Fatalf("%s/%s n=%d kruskal: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d kruskal: %v", fam, mode, n, err)
 				}
 				p, err := Prim(g, graph.NodeID(rng.Intn(g.N())))
 				if err != nil {
-					t.Fatalf("%s/%s n=%d prim: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d prim: %v", fam, mode, n, err)
 				}
 				b, err := Boruvka(g)
 				if err != nil {
-					t.Fatalf("%s/%s n=%d boruvka: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d boruvka: %v", fam, mode, n, err)
 				}
 				if !SameEdges(k, p) {
-					t.Fatalf("%s/%s n=%d: kruskal %v != prim %v", fam.Name, mode, n, k, p)
+					t.Fatalf("%s/%s n=%d: kruskal %v != prim %v", fam, mode, n, k, p)
 				}
 				if !SameEdges(k, b) {
-					t.Fatalf("%s/%s n=%d: kruskal %v != boruvka %v", fam.Name, mode, n, k, b)
+					t.Fatalf("%s/%s n=%d: kruskal %v != boruvka %v", fam, mode, n, k, b)
 				}
 				if err := Verify(g, k); err != nil {
-					t.Fatalf("%s/%s n=%d verify: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d verify: %v", fam, mode, n, err)
 				}
 			}
 		}
@@ -158,8 +157,7 @@ func TestIsSpanningTree(t *testing.T) {
 }
 
 func TestRootAndVerifyRooted(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := gen.RandomConnected(25, 60, rng, gen.Options{})
+	g := gen.RandomConnected(25, 60, 17, gen.SeededOptions{})
 	tree, err := Kruskal(g)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +231,7 @@ func TestEdgesFromParentPortsErrors(t *testing.T) {
 func TestUnitWeightsRootRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {
-		g := gen.RandomConnected(15, 35, rng, gen.Options{Weights: gen.WeightsUnit})
+		g := gen.RandomConnected(15, 35, rng.Uint64(), gen.SeededOptions{Weights: gen.WeightsUnit})
 		tree, err := Kruskal(g)
 		if err != nil {
 			t.Fatal(err)
@@ -253,8 +251,7 @@ func TestUnitWeightsRootRoundTrip(t *testing.T) {
 }
 
 func BenchmarkKruskal(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(1000, 5000, rng, gen.Options{})
+	g := gen.RandomConnected(1000, 5000, 1, gen.SeededOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Kruskal(g); err != nil {
@@ -264,8 +261,7 @@ func BenchmarkKruskal(b *testing.B) {
 }
 
 func BenchmarkPrim(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(1000, 5000, rng, gen.Options{})
+	g := gen.RandomConnected(1000, 5000, 1, gen.SeededOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Prim(g, 0); err != nil {
@@ -275,12 +271,21 @@ func BenchmarkPrim(b *testing.B) {
 }
 
 func BenchmarkBoruvka(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.RandomConnected(1000, 5000, rng, gen.Options{})
+	g := gen.RandomConnected(1000, 5000, 1, gen.SeededOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Boruvka(g); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

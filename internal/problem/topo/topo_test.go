@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -37,12 +36,7 @@ func TestFingerprintInvariance(t *testing.T) {
 	if got := Fingerprint(ring(n, id, 999)); got != base {
 		t.Errorf("reweighted ring fingerprint %#x != %#x (weights must be excluded)", got, base)
 	}
-	rng := rand.New(rand.NewSource(11))
-	path, err := gen.ByName("path")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := path.Generate(n, rng, gen.Options{})
+	pg, err := gen.BuildSeeded("path", n, 11, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +47,6 @@ func TestFingerprintInvariance(t *testing.T) {
 
 // TestShape pins the coarse structural tag.
 func TestShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []struct {
 		family string
 		n      int
@@ -66,7 +59,7 @@ func TestShape(t *testing.T) {
 		{"tree", 32, "tree"},
 		{"random", 32, "general"},
 	} {
-		g, err := gen.Build(tc.family, tc.n, rng, gen.Options{})
+		g, err := gen.BuildSeeded(tc.family, tc.n, 3, gen.SeededOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +98,10 @@ func TestRegistered(t *testing.T) {
 // tradeoff shape: flood advice is O(1) + ClassBits at beacons only, and
 // the run verifies through advice.Run's registry-routed verifier.
 func TestAllFamiliesBothEngines(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
-			g, err := fam.Generate(40, rand.New(rand.NewSource(9)), gen.Options{})
+		t.Run(fam, func(t *testing.T) {
+			g, err := gen.BuildSeeded(fam, 40, 9, gen.SeededOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +141,7 @@ func TestAllFamiliesBothEngines(t *testing.T) {
 // node; Direct pays ClassBits per node for zero rounds; intermediate
 // radii interpolate.
 func TestTradeoff(t *testing.T) {
-	g, err := gen.Build("path", 64, rand.New(rand.NewSource(5)), gen.Options{})
+	g, err := gen.BuildSeeded("path", 64, 5, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +185,7 @@ func TestTradeoff(t *testing.T) {
 // TestAsyncParity pins sync/async decode parity per node across
 // schedulers, the topo analogue of the synchronizer's MST parity test.
 func TestAsyncParity(t *testing.T) {
-	g, err := gen.Build("random", 96, rand.New(rand.NewSource(17)), gen.Options{})
+	g, err := gen.BuildSeeded("random", 96, 17, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +257,7 @@ func TestLowerBound(t *testing.T) {
 // serving layers rely on: the canonical decoder replays advice encoded at
 // any radius, and VerifyOutput rejects a wrong tag.
 func TestEncodeDecode(t *testing.T) {
-	g, err := gen.Build("grid", 36, rand.New(rand.NewSource(2)), gen.Options{})
+	g, err := gen.BuildSeeded("grid", 36, 2, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

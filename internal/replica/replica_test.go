@@ -23,7 +23,7 @@ import (
 // makeSnapshot builds a random connected instance with its oracle run.
 func makeSnapshot(t testing.TB, n, m int, seed int64) *store.Snapshot {
 	t.Helper()
-	g := gen.RandomConnected(n, m, rand.New(rand.NewSource(seed)), gen.Options{Weights: gen.WeightsDistinct})
+	g := gen.RandomConnected(n, m, uint64(seed), gen.SeededOptions{Weights: gen.WeightsDistinct})
 	adviceBits, err := core.BuildAdvice(g, 0, core.DefaultCap)
 	if err != nil {
 		t.Fatal(err)

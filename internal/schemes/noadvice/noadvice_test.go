@@ -1,7 +1,6 @@
 package noadvice
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -23,16 +22,15 @@ func run(t *testing.T, g *graph.Graph) *advice.Result {
 
 func TestCorrectAcrossFamilies(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 8, 21, 48} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(int64(n)*3 + int64(mode)*1000))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := mustGen(fam, n, uint64(n*3+int(mode)*1000), gen.SeededOptions{Weights: mode})
 				res := run(t, g)
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Advice.TotalBits != 0 {
 					t.Fatal("noadvice must use zero advice")
@@ -45,8 +43,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 // The final root must be the node that won the last merge, and the tree
 // must match the reference MST exactly (strongest structural check).
 func TestTreeIsReferenceMST(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := gen.RandomConnected(40, 120, rng, gen.Options{})
+	g := gen.RandomConnected(40, 120, 11, gen.SeededOptions{})
 	res := run(t, g)
 	want, err := mst.Kruskal(g)
 	if err != nil {
@@ -64,8 +61,7 @@ func TestTreeIsReferenceMST(t *testing.T) {
 // Messages stay CONGEST-sized: every message carries O(1) identifiers,
 // never whole subgraphs.
 func TestCongestMessages(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := gen.RandomConnected(60, 180, rng, gen.Options{})
+	g := gen.RandomConnected(60, 180, 12, gen.SeededOptions{})
 	res := run(t, g)
 	cm := sim.NewCostModel(g)
 	bound := 2 + cm.WeightBits + 2*cm.IDBits + cm.PortBits // largest message type
@@ -79,8 +75,7 @@ func TestCongestMessages(t *testing.T) {
 func TestPathRoundsGrowLinearly(t *testing.T) {
 	rounds := map[int]int{}
 	for _, n := range []int{16, 64, 256} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Path(n, rng, gen.Options{})
+		g := mustGen("path", n, uint64(n), gen.SeededOptions{})
 		res := run(t, g)
 		rounds[n] = res.Rounds
 	}
@@ -96,8 +91,7 @@ func TestPathRoundsGrowLinearly(t *testing.T) {
 // is at most 4·(⌈log n⌉+1) + O(1).
 func TestPhaseCount(t *testing.T) {
 	for _, n := range []int{8, 64, 128} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.RandomConnected(n, 3*n, rng, gen.Options{})
+		g := gen.RandomConnected(n, 3*n, uint64(n), gen.SeededOptions{})
 		res := run(t, g)
 		maxPulses := 4*(graph.CeilLog2(n)+1) + 4
 		if res.Pulses > maxPulses {
@@ -109,7 +103,7 @@ func TestPhaseCount(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	var s Scheme
 	mk := func() *graph.Graph {
-		return gen.RandomConnected(30, 90, rand.New(rand.NewSource(5)), gen.Options{Weights: gen.WeightsUnit})
+		return gen.RandomConnected(30, 90, 5, gen.SeededOptions{Weights: gen.WeightsUnit})
 	}
 	a, err := advice.Run(s, mk(), 0, sim.Options{EnablePulses: true, Sequential: true})
 	if err != nil {
@@ -127,4 +121,14 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("outputs differ at node %d", u)
 		}
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -22,16 +21,15 @@ func run(t *testing.T, g *graph.Graph) *advice.Result {
 
 func TestCorrectAcrossFamilies(t *testing.T) {
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 3, 8, 21, 48} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
-				rng := rand.New(rand.NewSource(int64(n)*5 + int64(mode)*771))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := mustGen(fam, n, uint64(n*5+int(mode)*771), gen.SeededOptions{Weights: mode})
 				res := run(t, g)
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Advice.TotalBits != 0 {
 					t.Fatal("pipeline must use zero advice")
@@ -43,8 +41,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 
 // The output tree is rooted at the minimum-ID node (the elected leader).
 func TestRootIsMinID(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := gen.RandomConnected(30, 90, rng, gen.Options{})
+	g := gen.RandomConnected(30, 90, 3, gen.SeededOptions{})
 	res := run(t, g)
 	want := graph.NodeID(0)
 	for u := 0; u < g.N(); u++ {
@@ -70,8 +67,7 @@ func TestRootIsMinID(t *testing.T) {
 
 // CONGEST: single-record messages only.
 func TestCongestMessages(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := gen.RandomConnected(50, 150, rng, gen.Options{})
+	g := gen.RandomConnected(50, 150, 5, gen.SeededOptions{})
 	res := run(t, g)
 	cm := sim.NewCostModel(g)
 	bound := 2*cm.IDBits + 2*cm.PortBits + cm.WeightBits // largest message type
@@ -85,8 +81,7 @@ func TestCongestMessages(t *testing.T) {
 func TestLinearRounds(t *testing.T) {
 	rounds := map[int]int{}
 	for _, n := range []int{32, 128, 512} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Expander(n, 3, rng, gen.Options{})
+		g := mustGen("expander", n, uint64(n), gen.SeededOptions{})
 		res := run(t, g)
 		rounds[n] = res.Rounds
 		if res.Rounds < n/2 {
@@ -103,8 +98,7 @@ func TestLinearRounds(t *testing.T) {
 
 // Heavy ties: the global order must keep upcast streams strictly sorted.
 func TestUnitWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := gen.Complete(24, rng, gen.Options{Weights: gen.WeightsUnit})
+	g := mustGen("complete", 24, 8, gen.SeededOptions{Weights: gen.WeightsUnit})
 	res := run(t, g)
 	if !res.Verified {
 		t.Fatal(res.VerifyErr)
@@ -113,7 +107,7 @@ func TestUnitWeights(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() *graph.Graph {
-		return gen.RandomConnected(40, 100, rand.New(rand.NewSource(11)), gen.Options{})
+		return gen.RandomConnected(40, 100, 11, gen.SeededOptions{})
 	}
 	a, err := advice.Run(Scheme{}, mk(), 0, sim.Options{Sequential: true})
 	if err != nil {
@@ -137,8 +131,7 @@ func TestDeterminism(t *testing.T) {
 // linearly while the 12-bit scheme stays logarithmic (cross-checked in
 // the facade tests).
 func TestLollipop(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	g := gen.Lollipop(60, rng, gen.Options{})
+	g := mustGen("lollipop", 60, 13, gen.SeededOptions{})
 	res := run(t, g)
 	if !res.Verified {
 		t.Fatal(res.VerifyErr)
@@ -146,4 +139,14 @@ func TestLollipop(t *testing.T) {
 	if res.Rounds < g.N()/2 {
 		t.Fatalf("lollipop solved in %d rounds — suspicious", res.Rounds)
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

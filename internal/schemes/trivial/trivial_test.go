@@ -14,29 +14,29 @@ import (
 func TestCorrectAcrossFamilies(t *testing.T) {
 	var s Scheme
 	for _, mode := range []gen.WeightMode{gen.WeightsDistinct, gen.WeightsRandom, gen.WeightsUnit} {
-		for _, fam := range gen.Families() {
+		for _, fam := range gen.Names() {
 			for _, n := range []int{1, 2, 8, 40} {
-				if n < 2 && fam.Name != "path" && fam.Name != "tree" {
+				if n < 2 && fam != "path" && fam != "tree" {
 					continue
 				}
 				rng := rand.New(rand.NewSource(int64(n) + int64(mode)*100))
-				g := fam.Build(n, rng, gen.Options{Weights: mode})
+				g := mustGen(fam, n, rng.Uint64(), gen.SeededOptions{Weights: mode})
 				root := graph.NodeID(rng.Intn(g.N()))
 				res, err := advice.Run(s, g, root, sim.Options{})
 				if err != nil {
-					t.Fatalf("%s/%s n=%d: %v", fam.Name, mode, n, err)
+					t.Fatalf("%s/%s n=%d: %v", fam, mode, n, err)
 				}
 				if !res.Verified {
-					t.Fatalf("%s/%s n=%d: output not the MST: %v", fam.Name, mode, n, res.VerifyErr)
+					t.Fatalf("%s/%s n=%d: output not the MST: %v", fam, mode, n, res.VerifyErr)
 				}
 				if res.Root != root {
-					t.Fatalf("%s/%s n=%d: root %d, want %d", fam.Name, mode, n, res.Root, root)
+					t.Fatalf("%s/%s n=%d: root %d, want %d", fam, mode, n, res.Root, root)
 				}
 				if res.Rounds != 0 {
-					t.Fatalf("%s/%s n=%d: %d rounds, want 0", fam.Name, mode, n, res.Rounds)
+					t.Fatalf("%s/%s n=%d: %d rounds, want 0", fam, mode, n, res.Rounds)
 				}
 				if res.Messages != 0 {
-					t.Fatalf("%s/%s n=%d: %d messages, want 0", fam.Name, mode, n, res.Messages)
+					t.Fatalf("%s/%s n=%d: %d messages, want 0", fam, mode, n, res.Messages)
 				}
 			}
 		}
@@ -47,8 +47,7 @@ func TestCorrectAcrossFamilies(t *testing.T) {
 func TestAdviceBound(t *testing.T) {
 	var s Scheme
 	for _, n := range []int{4, 16, 64, 256} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		g := gen.Complete(n, rng, gen.Options{}) // worst case: degree n-1
+		g := mustGen("complete", n, uint64(n), gen.SeededOptions{}) // worst case: degree n-1
 		assignment, err := s.Advise(g, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -68,8 +67,7 @@ func TestAdviceBound(t *testing.T) {
 // is the only disambiguator.
 func TestUnitWeightsComplete(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(9))
-	g := gen.Complete(20, rng, gen.Options{Weights: gen.WeightsUnit})
+	g := mustGen("complete", 20, 9, gen.SeededOptions{Weights: gen.WeightsUnit})
 	res, err := advice.Run(s, g, 5, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +82,7 @@ func TestUnitWeightsComplete(t *testing.T) {
 // non-MST output.
 func TestCorruptedAdviceDetected(t *testing.T) {
 	var s Scheme
-	rng := rand.New(rand.NewSource(4))
-	g := gen.RandomConnected(12, 25, rng, gen.Options{})
+	g := gen.RandomConnected(12, 25, 4, gen.SeededOptions{})
 	assignment, err := s.Advise(g, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -105,4 +102,14 @@ func TestCorruptedAdviceDetected(t *testing.T) {
 	if ok, _, _ := advice.VerifyOutput(g, res.ParentPorts); ok {
 		t.Fatal("corrupted advice still verified as the rooted MST")
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -23,7 +22,7 @@ func (*silent) Round(*Ctx, *NodeView, []Received) []Send { return nil }
 func (*silent) Output() (int, bool)                      { return -1, true }
 
 func TestZeroRounds(t *testing.T) {
-	g := gen.Ring(5, rand.New(rand.NewSource(1)), gen.Options{})
+	g := mustGen("ring", 5, 1, gen.SeededOptions{})
 	res, err := NewNetwork(g).Run(func(*NodeView) Node { return &silent{} }, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +90,7 @@ func bfsAdvice(n int, root int) []*bitstring.BitString {
 }
 
 func TestBFSWave(t *testing.T) {
-	g := gen.Path(10, rand.New(rand.NewSource(2)), gen.Options{})
+	g := mustGen("path", 10, 2, gen.SeededOptions{})
 	res, err := NewNetwork(g).Run(newBFSNode, bfsAdvice(10, 0), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestBFSWave(t *testing.T) {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
-	g := gen.RandomConnected(200, 600, rand.New(rand.NewSource(3)), gen.Options{})
+	g := gen.RandomConnected(200, 600, 3, gen.SeededOptions{})
 	adv := bfsAdvice(g.N(), 7)
 	seq, err := NewNetwork(g).Run(newBFSNode, adv, Options{Sequential: true, RecordRoundStats: true})
 	if err != nil {
@@ -175,7 +174,7 @@ func (p *pulseNode) Round(ctx *Ctx, view *NodeView, inbox []Received) []Send {
 func (p *pulseNode) Output() (int, bool) { return -1, p.done }
 
 func TestPulses(t *testing.T) {
-	g := gen.Ring(6, rand.New(rand.NewSource(4)), gen.Options{})
+	g := mustGen("ring", 6, 4, gen.SeededOptions{})
 	res, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil, Options{EnablePulses: true})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,7 @@ func TestPulses(t *testing.T) {
 }
 
 func TestNoPulsesWithoutOption(t *testing.T) {
-	g := gen.Ring(4, rand.New(rand.NewSource(5)), gen.Options{})
+	g := mustGen("ring", 4, 5, gen.SeededOptions{})
 	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil,
 		Options{MaxRounds: 50})
 	if err == nil {
@@ -207,7 +206,7 @@ func (b *badPort) Round(*Ctx, *NodeView, []Received) []Send { return nil }
 func (b *badPort) Output() (int, bool)                      { return -1, b.done }
 
 func TestInvalidPortRejected(t *testing.T) {
-	g := gen.Ring(3, rand.New(rand.NewSource(6)), gen.Options{})
+	g := mustGen("ring", 3, 6, gen.SeededOptions{})
 	if _, err := NewNetwork(g).Run(func(*NodeView) Node { return &badPort{} }, nil, Options{}); err == nil {
 		t.Fatal("expected invalid-port error")
 	}
@@ -223,7 +222,7 @@ func (d *doubleSend) Round(*Ctx, *NodeView, []Received) []Send { return nil }
 func (d *doubleSend) Output() (int, bool)                      { return -1, false }
 
 func TestDoubleSendRejected(t *testing.T) {
-	g := gen.Ring(3, rand.New(rand.NewSource(7)), gen.Options{})
+	g := mustGen("ring", 3, 7, gen.SeededOptions{})
 	if _, err := NewNetwork(g).Run(func(*NodeView) Node { return &doubleSend{} }, nil, Options{}); err == nil {
 		t.Fatal("expected double-send error")
 	}
@@ -244,7 +243,7 @@ func (d *doubleSendLater) Round(ctx *Ctx, view *NodeView, inbox []Received) []Se
 func (d *doubleSendLater) Output() (int, bool) { return -1, false }
 
 func TestDoubleSendRejectedInLaterRound(t *testing.T) {
-	g := gen.Ring(8, rand.New(rand.NewSource(40)), gen.Options{})
+	g := mustGen("ring", 8, 40, gen.SeededOptions{})
 	for _, workers := range []int{1, 4} {
 		_, err := NewNetwork(g).Run(func(*NodeView) Node { return &doubleSendLater{} }, nil,
 			Options{Workers: workers})
@@ -270,7 +269,7 @@ func (c *chatter) Round(ctx *Ctx, view *NodeView, inbox []Received) []Send {
 func (c *chatter) Output() (int, bool) { return -1, c.done }
 
 func TestSamePortAcrossRoundsAllowed(t *testing.T) {
-	g := gen.Ring(6, rand.New(rand.NewSource(41)), gen.Options{})
+	g := mustGen("ring", 6, 41, gen.SeededOptions{})
 	res, err := NewNetwork(g).Run(func(*NodeView) Node { return &chatter{} }, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,7 @@ func (s *nilSender) Round(*Ctx, *NodeView, []Received) []Send { return nil }
 func (s *nilSender) Output() (int, bool)                      { return -1, false }
 
 func TestNilMessageRejected(t *testing.T) {
-	g := gen.Ring(3, rand.New(rand.NewSource(42)), gen.Options{})
+	g := mustGen("ring", 3, 42, gen.SeededOptions{})
 	if _, err := NewNetwork(g).Run(func(*NodeView) Node { return &nilSender{} }, nil, Options{}); err == nil {
 		t.Fatal("expected nil-message error")
 	}
@@ -304,7 +303,7 @@ func (p *panicky) Round(*Ctx, *NodeView, []Received) []Send {
 func (p *panicky) Output() (int, bool) { return -1, false }
 
 func TestPanicCaptured(t *testing.T) {
-	g := gen.Ring(3, rand.New(rand.NewSource(8)), gen.Options{})
+	g := mustGen("ring", 3, 8, gen.SeededOptions{})
 	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &panicky{} }, nil, Options{})
 	if err == nil {
 		t.Fatal("expected panic to surface as an error")
@@ -312,7 +311,7 @@ func TestPanicCaptured(t *testing.T) {
 }
 
 func TestAdviceLengthMismatch(t *testing.T) {
-	g := gen.Ring(3, rand.New(rand.NewSource(9)), gen.Options{})
+	g := mustGen("ring", 3, 9, gen.SeededOptions{})
 	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &silent{} },
 		make([]*bitstring.BitString, 2), Options{})
 	if err == nil {
@@ -321,7 +320,7 @@ func TestAdviceLengthMismatch(t *testing.T) {
 }
 
 func TestMaxRounds(t *testing.T) {
-	g := gen.Ring(3, rand.New(rand.NewSource(10)), gen.Options{})
+	g := mustGen("ring", 3, 10, gen.SeededOptions{})
 	_, err := NewNetwork(g).Run(func(*NodeView) Node { return &pulseNode{} }, nil,
 		Options{MaxRounds: 10})
 	if err == nil {
@@ -330,7 +329,7 @@ func TestMaxRounds(t *testing.T) {
 }
 
 func TestCongestAudit(t *testing.T) {
-	g := gen.Path(6, rand.New(rand.NewSource(11)), gen.Options{})
+	g := mustGen("path", 6, 11, gen.SeededOptions{})
 	adv := bfsAdvice(6, 0)
 	// tmsg costs IDBits = 3 bits on this graph; budget 2 flags every
 	// message, budget 3 flags none.
@@ -351,7 +350,7 @@ func TestCongestAudit(t *testing.T) {
 }
 
 func TestDropEvery(t *testing.T) {
-	g := gen.Complete(6, rand.New(rand.NewSource(12)), gen.Options{})
+	g := mustGen("complete", 6, 12, gen.SeededOptions{})
 	adv := bfsAdvice(6, 0)
 	clean, err := NewNetwork(g).Run(newBFSNode, adv, Options{})
 	if err != nil {
@@ -374,7 +373,7 @@ func TestDropEvery(t *testing.T) {
 // messages are exactly those whose global routed index (1-based, in node
 // order then outbox order, cumulative across rounds) is a multiple of k.
 func TestDropEveryAccounting(t *testing.T) {
-	g := gen.Complete(8, rand.New(rand.NewSource(13)), gen.Options{})
+	g := mustGen("complete", 8, 13, gen.SeededOptions{})
 	for _, k := range []int{2, 3, 7} {
 		res, err := NewNetwork(g).Run(func(*NodeView) Node { return &chatter{} }, nil,
 			Options{DropEvery: k, MaxRounds: 100})
@@ -392,7 +391,7 @@ func TestDropEveryAccounting(t *testing.T) {
 // which depends on a global routed-message counter — drops the same
 // messages no matter how routing is parallelized.
 func TestDropEveryDeterministicAcrossWorkers(t *testing.T) {
-	g := gen.RandomConnected(300, 900, rand.New(rand.NewSource(14)), gen.Options{})
+	g := gen.RandomConnected(300, 900, 14, gen.SeededOptions{})
 	run := func(workers int) *Result {
 		res, err := NewNetwork(g).Run(func(*NodeView) Node { return &chatter{} }, nil,
 			Options{Workers: workers, DropEvery: 3, MaxRounds: 2000, RecordRoundStats: true})
@@ -416,7 +415,7 @@ func TestDropEveryDeterministicAcrossWorkers(t *testing.T) {
 // TestInboxSortedByPort asserts the engine's ordering contract: inboxes
 // arrive sorted by arrival port.
 func TestInboxSortedByPort(t *testing.T) {
-	g := gen.Complete(9, rand.New(rand.NewSource(15)), gen.Options{})
+	g := mustGen("complete", 9, 15, gen.SeededOptions{})
 	factory := func(view *NodeView) Node { return &inboxChecker{} }
 	if _, err := NewNetwork(g).Run(factory, nil, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
@@ -503,7 +502,7 @@ func (f *finalSender) Output() (int, bool) { return -1, f.done }
 // accounting; now they surface in Result.Undelivered and the totals
 // conserve.
 func TestUndeliveredFinalMessagesAccounted(t *testing.T) {
-	g := gen.Ring(6, rand.New(rand.NewSource(50)), gen.Options{})
+	g := mustGen("ring", 6, 50, gen.SeededOptions{})
 	res, err := NewNetwork(g).Run(func(*NodeView) Node { return &finalSender{} }, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +531,7 @@ func checkConservation(t *testing.T, res *Result) {
 // TestConservationAcrossModes runs the BFS wave under clean, DropEvery
 // and Scenario conditions and asserts the conservation invariant in each.
 func TestConservationAcrossModes(t *testing.T) {
-	g := gen.Complete(8, rand.New(rand.NewSource(51)), gen.Options{})
+	g := mustGen("complete", 8, 51, gen.SeededOptions{})
 	adv := bfsAdvice(8, 0)
 	opts := []struct {
 		name    string
@@ -567,7 +566,7 @@ func TestConservationAcrossModes(t *testing.T) {
 // never reach its neighbours), surfacing as a MaxRounds error — the
 // protocol fails loudly, not silently wrong.
 func TestScenarioLinkDown(t *testing.T) {
-	g := gen.Ring(5, rand.New(rand.NewSource(52)), gen.Options{})
+	g := mustGen("ring", 5, 52, gen.SeededOptions{})
 	var events []ScenarioEvent
 	for p := 0; p < g.Degree(0); p++ {
 		events = append(events, ScenarioEvent{Round: 0, Edge: g.HalfAt(0, p).Edge, Action: ActionLinkDown})
@@ -638,7 +637,7 @@ func TestScenarioWeightPerturbation(t *testing.T) {
 // the same barrier-applied state for every worker count, so results are
 // byte-identical.
 func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
-	g := gen.RandomConnected(200, 600, rand.New(rand.NewSource(53)), gen.Options{})
+	g := gen.RandomConnected(200, 600, 53, gen.SeededOptions{})
 	sc := &Scenario{Events: []ScenarioEvent{
 		{Round: 1, Edge: 3, Action: ActionLinkDown},
 		{Round: 1, Edge: 17, Action: ActionLinkDown},
@@ -667,7 +666,7 @@ func TestScenarioDeterministicAcrossWorkers(t *testing.T) {
 
 // TestScenarioValidation rejects malformed scenarios up front.
 func TestScenarioValidation(t *testing.T) {
-	g := gen.Ring(4, rand.New(rand.NewSource(54)), gen.Options{})
+	g := mustGen("ring", 4, 54, gen.SeededOptions{})
 	bad := []*Scenario{
 		{Events: []ScenarioEvent{{Round: -1, Edge: 0, Action: ActionLinkDown}}},
 		{Events: []ScenarioEvent{{Round: 0, Edge: 99, Action: ActionLinkDown}}},
@@ -683,7 +682,7 @@ func TestScenarioValidation(t *testing.T) {
 }
 
 func BenchmarkEngineBFS(b *testing.B) {
-	g := gen.RandomConnected(2000, 8000, rand.New(rand.NewSource(1)), gen.Options{})
+	g := gen.RandomConnected(2000, 8000, 1, gen.SeededOptions{})
 	adv := bfsAdvice(g.N(), 0)
 	nw := NewNetwork(g)
 	b.ResetTimer()
@@ -692,4 +691,14 @@ func BenchmarkEngineBFS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mustGen builds an instance of a generator family; the arguments are
+// fixed by the test, so an error is a bug and panics.
+func mustGen(family string, n int, seed uint64, opt gen.SeededOptions) *graph.Graph {
+	g, err := gen.BuildSeeded(family, n, seed, opt)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

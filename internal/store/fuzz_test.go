@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math/rand"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -15,7 +14,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(magic[:])
-	g := gen.RandomConnected(24, 60, rand.New(rand.NewSource(1)), gen.Options{})
+	g := gen.RandomConnected(24, 60, 1, gen.SeededOptions{})
 	blob, err := Encode(&Snapshot{Graph: g, Root: 3, Cap: 11})
 	if err != nil {
 		f.Fatal(err)
@@ -71,7 +70,7 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeGraphRecords drives FromRecords through the decoder with
+// FuzzDecodeGraphRecords drives graph.FromEdgeList through the decoder with
 // hostile edge records: ports and endpoints are attacker-controlled, so
 // this is the codec's main injection surface.
 func FuzzDecodeGraphRecords(f *testing.F) {

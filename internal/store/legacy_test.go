@@ -4,13 +4,14 @@ import (
 	"encoding/binary"
 	"flag"
 	"hash/crc32"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mstadvice/internal/core"
-	"mstadvice/internal/graph/gen"
+	"mstadvice/internal/graph"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the committed legacy golden blob")
@@ -55,9 +56,54 @@ func encodeV1(t *testing.T, s *Snapshot) []byte {
 	return append(blob, crc[:]...)
 }
 
+// loadRecords reads a graph frozen as plain records under testdata —
+// "n m", the n node IDs, then one "u v pu pv w" line per edge, after
+// any '#' comment lines — and builds it with graph.FromEdgeList, not
+// the codec, so the golden tests compare the codec against an
+// independent source of truth.
+func loadRecords(t *testing.T, name string) *graph.Graph {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []int64
+	for _, line := range strings.Split(string(blob), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			v, err := strconv.ParseInt(f, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fields = append(fields, v)
+		}
+	}
+	if len(fields) < 2 {
+		t.Fatalf("%s: missing the n m header", name)
+	}
+	n, m := int(fields[0]), int(fields[1])
+	if len(fields) != 2+n+5*m {
+		t.Fatalf("%s: %d numbers, want %d for n=%d m=%d", name, len(fields), 2+n+5*m, n, m)
+	}
+	ids := fields[2 : 2+n]
+	edges := make([]graph.Edge, m)
+	for i := range edges {
+		r := fields[2+n+5*i:]
+		edges[i] = graph.Edge{U: graph.NodeID(r[0]), V: graph.NodeID(r[1]), PU: int(r[2]), PV: int(r[3]), W: graph.Weight(r[4])}
+	}
+	g, err := graph.FromEdgeList(n, ids, edges, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return g
+}
+
+// legacySnapshot is the instance behind the committed golden blobs.
 func legacySnapshot(t *testing.T) *Snapshot {
 	t.Helper()
-	g := gen.RandomConnected(32, 80, rand.New(rand.NewSource(77)), gen.Options{})
+	g := loadRecords(t, "legacy-32x80.records")
 	adv, err := core.BuildAdvice(g, 5, 12)
 	if err != nil {
 		t.Fatal(err)

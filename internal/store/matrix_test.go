@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,7 +8,6 @@ import (
 
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/graph/gen"
 )
 
 // tieredSnapshot extends the shared legacy instance with one coarse
@@ -21,7 +19,7 @@ import (
 func tieredSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	s := legacySnapshot(t)
-	cg := gen.RandomConnected(4, 5, rand.New(rand.NewSource(78)), gen.Options{})
+	cg := loadRecords(t, "tier-4x5.records")
 	adv, err := core.BuildAdvice(cg, 1, 12)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@
 // the bumps keeps working; legacy input re-encodes to the current
 // version.
 //
-// Edges carry explicit ports (graph.FromRecords) because a graph that has
+// Edges carry explicit ports (graph.FromEdgeList) because a graph that has
 // lived through dynamic deletions no longer has insertion-order ports;
 // the delta on U costs one byte for almost every edge of a generator
 // family, whose records are grouped by lower endpoint. Advice strings
@@ -150,7 +150,9 @@ type Tier struct {
 // maxReasonable bounds per-item counts decoded from headers before any
 // allocation is sized from them, so a corrupt header cannot request a
 // multi-gigabyte slice. 1<<28 nodes/edges is far beyond the repository's
-// n = 10⁶ operating point while still letting the codec scale.
+// n = 10⁶ operating point while still letting the codec scale. It also
+// keeps every decoded port inside an int32, which graph.FromEdgeList's
+// port range checks rely on.
 const maxReasonable = 1 << 28
 
 // Encode serialises the snapshot in the version Snapshot.Version
@@ -395,7 +397,7 @@ func (d *decoder) count(what string) (int, error) {
 
 // Decode parses an encoded snapshot. It validates the magic, the CRC
 // footer, and every structural invariant of the graph (via
-// graph.FromRecords' Validate pass), and is safe on arbitrary input.
+// graph.FromEdgeList's Validate pass), and is safe on arbitrary input.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a snapshot", len(data))
@@ -519,7 +521,7 @@ func (d *decoder) decodeGraphBody(n, m int) (*graph.Graph, error) {
 			PU: pu, PV: pv, W: graph.Weight(w),
 		}
 	}
-	return graph.FromRecords(ids, edges)
+	return graph.FromEdgeList(n, ids, edges, 0)
 }
 
 // adviceSection parses a flag byte plus, when set, an advice section of

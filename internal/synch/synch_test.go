@@ -1,7 +1,6 @@
 package synch_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -19,11 +18,11 @@ import (
 // simulated rounds (pulses), same payload message count, bit total,
 // largest message and per-node outputs.
 func TestSyncAsyncParityAllFamilies(t *testing.T) {
-	for _, fam := range gen.Families() {
+	for _, fam := range gen.Names() {
 		fam := fam
-		t.Run(fam.Name, func(t *testing.T) {
+		t.Run(fam, func(t *testing.T) {
 			t.Parallel()
-			g, err := fam.Generate(48, rand.New(rand.NewSource(7)), gen.Options{})
+			g, err := gen.BuildSeeded(fam, 48, 7, gen.SeededOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,11 +82,7 @@ func TestParityUnderAdversarialSchedulers(t *testing.T) {
 		"maxdelay": sim.MaxDelay{Delay: 11},
 	}
 	for _, famName := range []string{"random", "expander", "grid", "lollipop"} {
-		fam, err := gen.ByName(famName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := fam.Generate(64, rand.New(rand.NewSource(3)), gen.Options{})
+		g, err := gen.BuildSeeded(famName, 64, 3, gen.SeededOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +117,7 @@ func TestParityUnderAdversarialSchedulers(t *testing.T) {
 // byte-identical advice.Result (including virtual-time and overhead
 // accounting) for any Workers setting.
 func TestAsyncDeterministicForAnyWorkerCount(t *testing.T) {
-	fam, err := gen.ByName("random")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := fam.Generate(128, rand.New(rand.NewSource(21)), gen.Options{})
+	g, err := gen.BuildSeeded("random", 128, 21, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +145,7 @@ func TestAsyncDeterministicForAnyWorkerCount(t *testing.T) {
 // TestAsyncRejectsPulseDrivenSchemes: the adaptive decoder depends on
 // the synchronous engine's idealized quiescence detection.
 func TestAsyncRejectsPulseDrivenSchemes(t *testing.T) {
-	fam, _ := gen.ByName("ring")
-	g, err := fam.Generate(16, rand.New(rand.NewSource(1)), gen.Options{})
+	g, err := gen.BuildSeeded("ring", 16, 1, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +158,7 @@ func TestAsyncRejectsPulseDrivenSchemes(t *testing.T) {
 // times (the latency model is really wired in) while outputs stay
 // verified and payload traffic stays identical.
 func TestLatencySeedChangesTiming(t *testing.T) {
-	fam, _ := gen.ByName("random")
-	g, err := fam.Generate(96, rand.New(rand.NewSource(5)), gen.Options{})
+	g, err := gen.BuildSeeded("random", 96, 5, gen.SeededOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,10 @@
 // agree along tree edges of a connected graph... every node's chain ends
 // at a node of depth 0 claiming itself as root, and label equality along
 // the chain forces that to be the named root), and hence form a spanning
-// tree. If any label or parent pointer is corrupted, at least one node
-// rejects — the classical soundness property, exercised in the tests.
+// tree. If the parent pointers are not a spanning tree the labels
+// certify, at least one node rejects — the classical soundness property,
+// exercised in the tests. (A corrupted pointer that moves a node to
+// another neighbour one level up leaves such a tree, and is accepted.)
 //
 // Verifying *minimality* in one round additionally requires
 // Ω(log² n)-bit labels (Korman–Kutten); that is a different paper's

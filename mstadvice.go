@@ -52,8 +52,6 @@
 package mstadvice
 
 import (
-	"math/rand"
-
 	"mstadvice/internal/advice"
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
@@ -331,11 +329,13 @@ func BuildAdviceTiers(g *Graph, root NodeID, opt HierOptions) ([]AdviceTier, err
 	return hier.BuildTiers(g, root, opt)
 }
 
-// Generator re-exports. All take an explicit random source and reproduce
-// the same graph for the same seed.
+// Generator re-exports. All take an explicit uint64 seed and reproduce
+// the same graph for the same seed, bit for bit, for any worker count
+// (DESIGN.md §2.12).
 type (
-	// GenOptions configure weight assignment and port/ID shuffling.
-	GenOptions = gen.Options
+	// GenOptions configure weight assignment, port/ID shuffling and the
+	// generation worker count.
+	GenOptions = gen.SeededOptions
 	// WeightMode selects distinct, random or unit edge weights.
 	WeightMode = gen.WeightMode
 )
@@ -347,44 +347,25 @@ const (
 	WeightsUnit     = gen.WeightsUnit
 )
 
-// GenPath returns the n-node path.
-func GenPath(n int, rng *rand.Rand, opt GenOptions) *Graph { return gen.Path(n, rng, opt) }
-
-// GenRing returns the n-node cycle.
-func GenRing(n int, rng *rand.Rand, opt GenOptions) *Graph { return gen.Ring(n, rng, opt) }
-
-// GenGrid returns the rows x cols grid.
-func GenGrid(rows, cols int, rng *rand.Rand, opt GenOptions) *Graph {
-	return gen.Grid(rows, cols, rng, opt)
+// GenGrid returns the rows x cols grid. It panics if rows or cols is
+// below 1.
+func GenGrid(rows, cols int, seed uint64, opt GenOptions) *Graph {
+	return gen.Grid(rows, cols, seed, opt)
 }
 
-// GenComplete returns K_n.
-func GenComplete(n int, rng *rand.Rand, opt GenOptions) *Graph { return gen.Complete(n, rng, opt) }
-
-// GenRandomConnected returns a connected graph with n nodes and about m
-// edges.
-func GenRandomConnected(n, m int, rng *rand.Rand, opt GenOptions) *Graph {
-	return gen.RandomConnected(n, m, rng, opt)
+// GenRandomConnected returns a connected graph with n nodes and m edges
+// (m clamped to [n-1, n(n-1)/2]). It panics if n < 1.
+func GenRandomConnected(n, m int, seed uint64, opt GenOptions) *Graph {
+	return gen.RandomConnected(n, m, seed, opt)
 }
-
-// GenExpander returns the union of k random Hamiltonian cycles.
-func GenExpander(n, k int, rng *rand.Rand, opt GenOptions) *Graph {
-	return gen.Expander(n, k, rng, opt)
-}
-
-// GenSeededOptions configure the seeded parallel generators.
-type GenSeededOptions = gen.SeededOptions
 
 // GenSeeded builds a graph of the named family (any name in
-// GenFamilyNames) with counter-mode seeded randomness: the result is a
-// pure function of (name, n, seed) — bit-identical for any worker
-// count — and generation runs in parallel (DESIGN.md §2.12).
-func GenSeeded(name string, n int, seed uint64, opt GenSeededOptions) (*Graph, error) {
+// GenFamilyNames); an unknown family or n < 1 is an error.
+func GenSeeded(name string, n int, seed uint64, opt GenOptions) (*Graph, error) {
 	return gen.BuildSeeded(name, n, seed, opt)
 }
 
-// GenFamilyNames lists the registered graph-family names accepted by
-// GenSeeded.
+// GenFamilyNames lists the graph-family names accepted by GenSeeded.
 func GenFamilyNames() []string { return gen.Names() }
 
 // Lower-bound re-exports (Theorem 1).

@@ -1,21 +1,19 @@
 package mstadvice
 
 import (
-	"math/rand"
 	"testing"
 )
 
 // The facade integration test: every public scheme solves every public
 // generator family exactly, with the profiles the paper promises.
 func TestFacadeEndToEnd(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	graphs := map[string]*Graph{
-		"path":   GenPath(40, rng, GenOptions{}),
-		"ring":   GenRing(40, rng, GenOptions{}),
-		"grid":   GenGrid(6, 6, rng, GenOptions{}),
-		"k12":    GenComplete(12, rng, GenOptions{Weights: WeightsUnit}),
-		"random": GenRandomConnected(50, 140, rng, GenOptions{}),
-		"expand": GenExpander(50, 3, rng, GenOptions{}),
+		"path":   mustGen("path", 40, 1, GenOptions{}),
+		"ring":   mustGen("ring", 40, 2, GenOptions{}),
+		"grid":   GenGrid(6, 6, 3, GenOptions{}),
+		"k12":    mustGen("complete", 12, 4, GenOptions{Weights: WeightsUnit}),
+		"random": GenRandomConnected(50, 140, 5, GenOptions{}),
+		"expand": mustGen("expander", 50, 6, GenOptions{}),
 	}
 	for gname, g := range graphs {
 		for _, s := range Schemes() {
