@@ -1,59 +1,51 @@
 // Command experiments regenerates the reproduction's tables and figures
-// (E1..E12, see DESIGN.md §3 and EXPERIMENTS.md):
+// (E1..E13, see DESIGN.md §3 and EXPERIMENTS.md) and runs its benches:
 //
 //	experiments                       # run everything at the default sizes
 //	experiments -e e4,e5              # only the main theorem and the separation
 //	experiments -e e11                # dynamic networks: sensitivity + churn
 //	experiments -sizes 16,128         # custom n sweep
-//	experiments -bench-sim BENCH_sim.json
-//	                                  # engine micro-benchmark, machine-readable
-//	experiments -bench-oracle BENCH_oracle.json
-//	                                  # oracle-pipeline benchmark (n up to 10⁶)
-//	experiments -bench-service BENCH_service.json
-//	                                  # advice-serving layer: store round-trip,
-//	                                  # closed-loop query QPS/latency, churn
-//	experiments -bench-async BENCH_async.json
-//	                                  # asynchronous mode: rounds vs virtual
-//	                                  # time, synchronizer overhead, parity
-//	experiments -bench-topo BENCH_topo.json
-//	                                  # topology-recognition problem: family
-//	                                  # sweep with async parity, radius sweep
-//	experiments -bench-hier BENCH_hier.json
-//	                                  # hierarchical advice: bits-vs-rounds
-//	                                  # frontier, tier vs flat snapshot bytes
-//	                                  # (n up to 10⁶)
-//	experiments -bench-replica BENCH_replica.json
-//	                                  # replicated serving tier: failover
-//	                                  # client under kill/restart chaos,
-//	                                  # catch-up time, zero-wrong-answers
-//	experiments -bench-obs BENCH_obs.json
-//	                                  # observability overhead gate: the
-//	                                  # hot-path instrument cost and the
-//	                                  # read path's 0-allocs / <5% contract
-//	experiments -bench-oracle /tmp/now.json -sizes 10000 \
+//	experiments -bench sim            # engine micro-benchmark → BENCH_sim.json
+//	experiments -bench oracle -out /tmp/now.json -sizes 10000 \
 //	            -bench-baseline BENCH_oracle.json
 //	                                  # CI smoke: fail on >2x regression
-//	experiments -bench-sim /tmp/b.json -cpuprofile cpu.pprof -memprofile mem.pprof
+//	experiments -bench sim -out /tmp/b.json -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                                  # profile any bench run with pprof
 //
-// With -bench-sim / -bench-oracle / -bench-service / -bench-async /
-// -bench-topo / -bench-hier / -bench-replica / -bench-obs the
-// command skips the tables, runs the corresponding benchmark (see
-// internal/experiments: SimBench, OracleBench, ServiceBench, AsyncBench,
-// TopoBench, HierBench, ReplicaBench, ObsBench)
-// and writes the rows as JSON. Running it with the
-// committed file names regenerates the in-tree perf trajectory;
+// -bench NAME skips the tables and runs one bench of the
+// experiments.Benches table instead:
+//
+//	sim       engine end to end, plus single-edge-update latency
+//	oracle    oracle pipeline at n up to 10⁶; a run that measures
+//	          n = 10⁶ fails unless the 8-worker speedup reaches 2.5x
+//	service   advice-serving layer: store round-trip, closed-loop query
+//	          QPS/latency, churn
+//	async     asynchronous mode: rounds vs virtual time, synchronizer
+//	          overhead, sync/async parity
+//	topo      topology-recognition problem: family sweep with async
+//	          parity, radius sweep
+//	hier      hierarchical advice: bits-vs-rounds frontier, tier vs flat
+//	          snapshot bytes (n up to 10⁶)
+//	replica   replicated serving tier: failover client under kill/restart
+//	          chaos, catch-up time, zero wrong answers
+//	obs       observability overhead gate: hot-path instrument cost and
+//	          the read path's 0-allocs / <5% contract
+//
+// It writes the rows as JSON to -out, by default BENCH_<NAME>.json, so
+// a plain run regenerates the committed perf trajectory.
 // -bench-baseline additionally compares the fresh rows against a
 // committed baseline and exits non-zero on any wall-time or allocation
-// regression beyond -bench-max-factor.
+// regression beyond -bench-max-factor, or on a lost Verified flag.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -61,25 +53,20 @@ import (
 )
 
 func main() {
+	benches := experiments.Benches()
+	names := strings.Join(slices.Sorted(maps.Keys(benches)), ", ")
 	var (
 		which          = flag.String("e", "all", "comma-separated experiment ids (e1..e13) or 'all'")
 		sizes          = flag.String("sizes", "", "comma-separated n sweep (default 16,64,256,1024)")
 		families       = flag.String("families", "", "comma-separated families (default path,grid,random,expander)")
 		seed           = flag.Int64("seed", 1, "generator seed")
-		benchSim       = flag.String("bench-sim", "", "run the engine benchmark and write JSON to this file instead of tables")
-		benchOracle    = flag.String("bench-oracle", "", "run the oracle-pipeline benchmark and write JSON to this file instead of tables")
-		benchService   = flag.String("bench-service", "", "run the advice-serving-layer benchmark and write JSON to this file instead of tables")
-		benchAsync     = flag.String("bench-async", "", "run the asynchronous-mode benchmark and write JSON to this file instead of tables")
-		benchTopo      = flag.String("bench-topo", "", "run the topology-recognition benchmark and write JSON to this file instead of tables")
-		benchHier      = flag.String("bench-hier", "", "run the hierarchical-advice benchmark and write JSON to this file instead of tables")
-		benchReplica   = flag.String("bench-replica", "", "run the replicated-serving-tier chaos benchmark and write JSON to this file instead of tables")
-		benchObs       = flag.String("bench-obs", "", "run the observability-overhead benchmark and write JSON to this file instead of tables")
+		bench          = flag.String("bench", "", "run this bench instead of the tables: "+names)
+		out            = flag.String("out", "", "with -bench: write the rows to this file (default BENCH_<name>.json)")
 		cpuProfile     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile     = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		serviceQueries = flag.Int("service-queries", 0, "closed-loop query count per -bench-service row (0 = default)")
+		serviceQueries = flag.Int("service-queries", 0, "closed-loop query count of the service, replica and obs benches (0 = default)")
 		benchBase      = flag.String("bench-baseline", "", "compare benchmark rows against this committed baseline JSON and fail on regression")
 		benchFactor    = flag.Float64("bench-max-factor", 2.0, "regression threshold for -bench-baseline (ratio to baseline)")
-		speedupFloor   = flag.Float64("speedup-floor", 0, "with -bench-oracle: fail unless the 8-worker rows at the largest n report at least this speedup (0 = off)")
 	)
 	flag.Parse()
 
@@ -124,11 +111,20 @@ func main() {
 			}
 		}()
 	}
-	if *benchBase != "" && *benchSim == "" && *benchOracle == "" && *benchService == "" && *benchAsync == "" && *benchTopo == "" && *benchHier == "" && *benchReplica == "" && *benchObs == "" {
-		fail("-bench-baseline needs -bench-sim, -bench-oracle, -bench-service, -bench-async, -bench-topo, -bench-hier, -bench-replica and/or -bench-obs to produce rows to compare")
-	}
-	if *benchSim != "" || *benchOracle != "" || *benchService != "" || *benchAsync != "" || *benchTopo != "" || *benchHier != "" || *benchReplica != "" || *benchObs != "" {
-		// Read the baseline before any bench writes its rows: the output
+	if *bench == "" {
+		if *benchBase != "" || *out != "" {
+			fail("-bench-baseline and -out need -bench NAME to produce rows")
+		}
+	} else {
+		b, ok := benches[*bench]
+		if !ok {
+			fail("unknown bench %q (have %s)", *bench, names)
+		}
+		path := *out
+		if path == "" {
+			path = "BENCH_" + *bench + ".json"
+		}
+		// Read the baseline before the bench writes its rows: the output
 		// path may BE the committed baseline (one step regenerates the
 		// artifact and gates it against the committed state in a single
 		// run).
@@ -139,76 +135,18 @@ func main() {
 				fail("%v", err)
 			}
 		}
-		var all []experiments.BenchResult
-		if *benchSim != "" {
-			rows := experiments.SimBench(cfg)
-			if err := experiments.WriteBench(*benchSim, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchSim)
-			all = append(all, rows...)
+		rows := b.Run(cfg)
+		if err := experiments.WriteBench(path, rows); err != nil {
+			fail("%v", err)
 		}
-		if *benchOracle != "" {
-			rows := experiments.OracleBench(cfg)
-			if err := experiments.WriteBench(*benchOracle, rows); err != nil {
-				fail("%v", err)
+		fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), path)
+		if b.Gate != nil {
+			if err := b.Gate(rows); err != nil {
+				fail("%s gate: %v", *bench, err)
 			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchOracle)
-			if err := experiments.CheckSpeedupFloor(rows, 8, *speedupFloor); err != nil {
-				fail("speedup floor: %v", err)
-			}
-			all = append(all, rows...)
-		}
-		if *benchService != "" {
-			rows := experiments.ServiceBench(cfg)
-			if err := experiments.WriteBench(*benchService, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchService)
-			all = append(all, rows...)
-		}
-		if *benchAsync != "" {
-			rows := experiments.AsyncBench(cfg)
-			if err := experiments.WriteBench(*benchAsync, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchAsync)
-			all = append(all, rows...)
-		}
-		if *benchTopo != "" {
-			rows := experiments.TopoBench(cfg)
-			if err := experiments.WriteBench(*benchTopo, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchTopo)
-			all = append(all, rows...)
-		}
-		if *benchHier != "" {
-			rows := experiments.HierBench(cfg)
-			if err := experiments.WriteBench(*benchHier, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchHier)
-			all = append(all, rows...)
-		}
-		if *benchReplica != "" {
-			rows := experiments.ReplicaBench(cfg)
-			if err := experiments.WriteBench(*benchReplica, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchReplica)
-			all = append(all, rows...)
-		}
-		if *benchObs != "" {
-			rows := experiments.ObsBench(cfg)
-			if err := experiments.WriteBench(*benchObs, rows); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("wrote %d benchmark rows to %s\n", len(rows), *benchObs)
-			all = append(all, rows...)
 		}
 		if *benchBase != "" {
-			regressions := experiments.CompareBaseline(all, baseline, *benchFactor)
+			regressions := experiments.CompareBaseline(rows, baseline, *benchFactor)
 			for _, r := range regressions {
 				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", r)
 			}

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"reflect"
-	"runtime"
-	"time"
 
+	"mstadvice/internal/advice"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/sim"
@@ -71,12 +70,8 @@ func asyncRow(c Config, fam string, n int, sched sim.Scheduler) BenchResult {
 		Latency:   sim.UniformLatency{Seed: c.Seed + 101, Min: 1, Max: 8},
 		Scheduler: sched,
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	asyncRes := mustRun(core.Scheme{}, g, 0, opt)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+	var asyncRes *advice.Result
+	wall, allocs, bytes := measure(func() { asyncRes = mustRun(core.Scheme{}, g, 0, opt) })
 
 	parity := asyncRes.Verified &&
 		asyncRes.Pulses == syncRes.Rounds &&
@@ -97,9 +92,9 @@ func asyncRow(c Config, fam string, n int, sched sim.Scheduler) BenchResult {
 		VirtualTime:  asyncRes.VirtualTime,
 		SyncMessages: asyncRes.SyncMessages,
 		SyncBits:     asyncRes.SyncBits,
-		WallNS:       wall.Nanoseconds(),
-		Allocs:       after.Mallocs - before.Mallocs,
-		AllocBytes:   after.TotalAlloc - before.TotalAlloc,
+		WallNS:       wall,
+		Allocs:       allocs,
+		AllocBytes:   bytes,
 		Verified:     parity,
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
+	"mstadvice/internal/advice"
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/core"
 	"mstadvice/internal/dynamic"
@@ -149,12 +149,11 @@ func SimBench(c Config) []BenchResult {
 		g := gen.RandomConnected(n, 3*n, c.seed(int64(n)), gen.SeededOptions{})
 		var seqWall int64
 		for _, workers := range benchWorkers() {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			res := mustRun(core.Scheme{}, g, 0, sim.Options{Workers: workers})
-			wall := time.Since(start)
-			runtime.ReadMemStats(&after)
+			var res *advice.Result
+			wall, allocs, bytes := measure(func() {
+				res = mustRun(core.Scheme{}, g, 0, sim.Options{Workers: workers})
+			})
+			rounds := float64(max(res.Rounds, 1))
 			row := BenchResult{
 				Kind:           "sim",
 				Scheme:         res.Scheme,
@@ -165,11 +164,11 @@ func SimBench(c Config) []BenchResult {
 				Rounds:         res.Rounds,
 				Messages:       res.Messages,
 				MsgBits:        res.MsgBits,
-				WallNS:         wall.Nanoseconds(),
-				NSPerRound:     float64(wall.Nanoseconds()) / float64(maxInt(res.Rounds, 1)),
-				Allocs:         after.Mallocs - before.Mallocs,
-				AllocsPerRound: float64(after.Mallocs-before.Mallocs) / float64(maxInt(res.Rounds, 1)),
-				AllocBytes:     after.TotalAlloc - before.TotalAlloc,
+				WallNS:         wall,
+				NSPerRound:     float64(wall) / rounds,
+				Allocs:         allocs,
+				AllocsPerRound: float64(allocs) / rounds,
+				AllocBytes:     bytes,
 				Verified:       res.Verified,
 			}
 			if workers == 1 {
@@ -191,41 +190,9 @@ func SimBench(c Config) []BenchResult {
 
 // oracleBenchWorkers is OracleBench's fixed sweep. It is deliberately
 // machine-independent (unlike benchWorkers) so the committed
-// BENCH_oracle.json rows — including the 8-worker scaling row the CI
-// speedup floor gates — keep stable keys on any runner.
+// BENCH_oracle.json rows — including the 8-worker scaling row the oracle
+// speedup floor gates (oracleGate) — keep stable keys on any runner.
 var oracleBenchWorkers = []int{1, 4, 8}
-
-// graphsEqual reports whether two graphs agree on every observable
-// byte: sizes, IDs and the full port-annotated edge records.
-func graphsEqual(a, b *graph.Graph) bool {
-	if a.N() != b.N() || a.M() != b.M() {
-		return false
-	}
-	for u := 0; u < a.N(); u++ {
-		if a.ID(graph.NodeID(u)) != b.ID(graph.NodeID(u)) {
-			return false
-		}
-	}
-	for e := 0; e < a.M(); e++ {
-		if a.Edge(graph.EdgeID(e)) != b.Edge(graph.EdgeID(e)) {
-			return false
-		}
-	}
-	return true
-}
-
-// adviceEqual reports whether two advice sets are byte-identical.
-func adviceEqual(a, b []*bitstring.BitString) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for u := range a {
-		if !a[u].Equal(b[u]) {
-			return false
-		}
-	}
-	return true
-}
 
 // OracleBench measures the oracle pipeline alone — seeded parallel
 // generation (GenNS/GenAllocs, gen.BuildSeeded), then Borůvka
@@ -251,57 +218,53 @@ func OracleBench(c Config) []BenchResult {
 	var out []BenchResult
 	for _, n := range sizes {
 		seed := uint64(c.Seed)*0x9E3779B97F4A7C15 ^ uint64(n)
-		build := func(workers int) (*graph.Graph, time.Duration, uint64, uint64) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			g, err := gen.BuildSeeded("random", n, seed, gen.SeededOptions{Workers: workers})
-			wall := time.Since(start)
-			runtime.ReadMemStats(&after)
+		build := func(workers int) (g *graph.Graph, wall int64, allocs uint64) {
+			var err error
+			wall, allocs, _ = measure(func() {
+				g, err = gen.BuildSeeded("random", n, seed, gen.SeededOptions{Workers: workers})
+			})
 			if err != nil {
 				panic(err)
 			}
-			return g, wall, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+			return g, wall, allocs
 		}
-		encode := func(g *graph.Graph, workers int) (*core.AdviceDetail, time.Duration, uint64, uint64) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			d, err := core.BuildAdviceDetailOpt(g, 0, core.DefaultCap, core.OracleOptions{Workers: workers})
-			wall := time.Since(start)
-			runtime.ReadMemStats(&after)
+		encode := func(g *graph.Graph, workers int) (d *core.AdviceDetail, wall int64, allocs, bytes uint64) {
+			var err error
+			wall, allocs, bytes = measure(func() {
+				d, err = core.BuildAdviceDetailOpt(g, 0, core.DefaultCap, core.OracleOptions{Workers: workers})
+			})
 			if err != nil {
 				panic(err)
 			}
-			return d, wall, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+			return d, wall, allocs, bytes
 		}
 
 		// Warmup pipeline, discarded: the first run at a size pays
 		// allocator growth and page faults that would otherwise inflate
 		// the sequential reference walls (and so every speedup).
-		gWarm, _, _, _ := build(1)
+		gWarm, _, _ := build(1)
 		encode(gWarm, 1)
 
 		// Reference pipeline at one worker: the measured sequential walls
 		// every speedup is relative to, and the byte-identity reference.
-		gRef, genSeqWall, _, _ := build(1)
+		gRef, genSeqWall, _ := build(1)
 		dRef, seqWall, _, _ := encode(gRef, 1)
 
 		// Profiled sequential run targeted at the sweep's widest row: the
 		// chunk durations behind the work-span projection. The profiled
 		// outputs double as a determinism check against the reference.
 		pg := par.StartProfile(maxWorkers)
-		gProf, genProfWall, _, _ := build(maxWorkers)
+		gProf, genProfWall, _ := build(maxWorkers)
 		pg.Stop()
 		pb := par.StartProfile(maxWorkers)
 		dProf, profWall, _, _ := encode(gProf, maxWorkers)
 		pb.Stop()
-		profOK := graphsEqual(gRef, gProf) && adviceEqual(dRef.Advice, dProf.Advice)
-		genSerial := max64(genProfWall.Nanoseconds()-pg.WorkNS(), 0)
-		buildSerial := max64(profWall.Nanoseconds()-pb.WorkNS(), 0)
+		profOK := graph.Equal(gRef, gProf) == nil && adviceEqual(dRef.Advice, dProf.Advice)
+		genSerial := max(genProfWall-pg.WorkNS(), 0)
+		buildSerial := max(profWall-pb.WorkNS(), 0)
 
 		for _, workers := range oracleBenchWorkers {
-			g, genWall, genAllocs, _ := build(workers)
+			g, genWall, genAllocs := build(workers)
 			d, wall, allocs, allocBytes := encode(g, workers)
 			row := BenchResult{
 				Kind:       "oracle",
@@ -310,29 +273,29 @@ func OracleBench(c Config) []BenchResult {
 				N:          g.N(),
 				M:          g.M(),
 				Workers:    workers,
-				WallNS:     wall.Nanoseconds(),
-				GenNS:      genWall.Nanoseconds(),
+				WallNS:     wall,
+				GenNS:      genWall,
 				GenAllocs:  genAllocs,
 				Allocs:     allocs,
 				AllocBytes: allocBytes,
-				Verified:   profOK && graphsEqual(gRef, g) && adviceEqual(dRef.Advice, d.Advice),
+				Verified:   profOK && graph.Equal(gRef, g) == nil && adviceEqual(dRef.Advice, d.Advice),
 			}
 			if workers > 1 {
 				if runtime.NumCPU() >= workers {
 					row.SpeedupModel = "measured"
 					if row.WallNS > 0 {
-						row.Speedup = float64(seqWall.Nanoseconds()) / float64(row.WallNS)
+						row.Speedup = float64(seqWall) / float64(row.WallNS)
 					}
 					if row.GenNS > 0 {
-						row.GenSpeedup = float64(genSeqWall.Nanoseconds()) / float64(row.GenNS)
+						row.GenSpeedup = float64(genSeqWall) / float64(row.GenNS)
 					}
 				} else {
 					row.SpeedupModel = "work-span"
 					if proj := buildSerial + pb.ProjectNS(workers); proj > 0 {
-						row.Speedup = float64(seqWall.Nanoseconds()) / float64(proj)
+						row.Speedup = float64(seqWall) / float64(proj)
 					}
 					if proj := genSerial + pg.ProjectNS(workers); proj > 0 {
-						row.GenSpeedup = float64(genSeqWall.Nanoseconds()) / float64(proj)
+						row.GenSpeedup = float64(genSeqWall) / float64(proj)
 					}
 				}
 			}
@@ -344,12 +307,8 @@ func OracleBench(c Config) []BenchResult {
 
 // CheckSpeedupFloor enforces the oracle scaling gate: among the "oracle"
 // rows, the ones at the sweep's largest n with the given worker count
-// must report Speedup ≥ floor (and must exist, and be Verified). It
-// returns nil when floor ≤ 0.
+// must report Speedup ≥ floor (and must exist, and be Verified).
 func CheckSpeedupFloor(rows []BenchResult, workers int, floor float64) error {
-	if floor <= 0 {
-		return nil
-	}
 	maxN := 0
 	for _, r := range rows {
 		if r.Kind == "oracle" && r.N > maxN {
@@ -376,13 +335,6 @@ func CheckSpeedupFloor(rows []BenchResult, workers int, floor float64) error {
 	return nil
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // dynamicBench measures single-edge-update advice latency at size n:
 // a full oracle rerun versus the incremental advisor fast path, with the
 // Verified column certifying the incremental advice stayed byte-identical
@@ -393,55 +345,36 @@ func dynamicBench(c Config, n int) []BenchResult {
 	if err != nil {
 		panic(err)
 	}
-	var target graph.EdgeID = -1
-	for e := 0; e < adv.Graph().M(); e++ {
-		if !adv.Sensitivity().InTree[e] {
-			target = graph.EdgeID(e)
-			break
-		}
-	}
+	target := nonTreeEdge(g)
 	if target == -1 {
 		return nil
 	}
-	w := adv.Graph().Weight(target)
+	w := g.Weight(target)
 
 	const updates = 100
-	start := time.Now()
-	for i := 0; i < updates; i++ {
-		if _, err := adv.Update(graph.Batch{Weights: []graph.WeightUpdate{
-			{Edge: target, W: w + graph.Weight(1+i%2)}}}); err != nil {
+	incWall, _, _ := measure(func() {
+		for i := 0; i < updates; i++ {
+			if _, err := adv.Update(graph.Batch{Weights: []graph.WeightUpdate{
+				{Edge: target, W: w + graph.Weight(1+i%2)}}}); err != nil {
+				panic(err)
+			}
+		}
+	})
+
+	var fresh []*bitstring.BitString
+	fullWall, _, _ := measure(func() {
+		if fresh, err = core.BuildAdvice(adv.Graph(), 0, core.DefaultCap); err != nil {
 			panic(err)
 		}
-	}
-	incPer := time.Since(start) / updates
+	})
 
-	start = time.Now()
-	fresh, err := core.BuildAdvice(adv.Graph(), 0, core.DefaultCap)
-	if err != nil {
-		panic(err)
-	}
-	fullPer := time.Since(start)
-
-	identical := true
-	for u := range fresh {
-		if fresh[u].String() != adv.Advice()[u].String() {
-			identical = false
-			break
-		}
-	}
+	identical := adviceEqual(fresh, adv.Advice())
 	row := BenchResult{
 		Kind: "dynamic", Family: "random", N: g.N(), M: g.M(), Workers: 1, Verified: identical,
 	}
 	full := row
-	full.Scheme, full.WallNS = "advice-full", fullPer.Nanoseconds()
+	full.Scheme, full.WallNS = "advice-full", fullWall
 	inc := row
-	inc.Scheme, inc.WallNS = "advice-incremental", incPer.Nanoseconds()
+	inc.Scheme, inc.WallNS = "advice-incremental", incWall/updates
 	return []BenchResult{full, inc}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -39,8 +39,9 @@ type Config struct {
 	Families []string
 	// Seed feeds all generators.
 	Seed int64
-	// Queries sizes the ServiceBench closed loop; 0 means the default
-	// (see serviceBenchQueries).
+	// Queries sizes the query loops of ServiceBench, ReplicaBench (its
+	// fault-free row) and ObsBench; 0 means each bench's default
+	// (serviceBenchQueries, replicaBenchQueries, obsBenchQueries).
 	Queries int
 }
 

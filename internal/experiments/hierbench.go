@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/core"
@@ -107,12 +106,12 @@ func hierRows(c Config, fam string, n int) []BenchResult {
 		return rows
 	}
 	// One decomposition builds every tier.
-	buildStart := time.Now()
-	tiers, err := hier.BuildTiers(g, root, hier.HierOptions{Levels: levels})
+	var tiers []store.Tier
+	buildNS, _, _ := measure(func() { tiers, err = hier.BuildTiers(g, root, hier.HierOptions{Levels: levels}) })
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
-	buildNS := time.Since(buildStart).Nanoseconds() / int64(len(tiers))
+	buildNS /= int64(len(tiers))
 
 	// Shared decoder measurement above the per-level cap (see
 	// hierDecodeMaxN); the schedule is level-oblivious, so rounds and
@@ -185,12 +184,11 @@ func hierDecode(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID, lev
 		panic(fmt.Sprintf("experiments: hier decode l%d: %v", level, err))
 	}
 	s := hier.Scheme{Level: level}
-	start := time.Now()
-	res, err := sim.NewNetwork(g).Run(s.NewNode, adv, sim.Options{})
+	var res *sim.Result
+	wall, _, _ := measure(func() { res, err = sim.NewNetwork(g).Run(s.NewNode, adv, sim.Options{}) })
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier decode l%d: %v", level, err))
 	}
-	wall := time.Since(start).Nanoseconds()
 	// Exact check in O(n): the decoder's outputs must equal the
 	// decomposition's own parent ports (-1 at the root). The generic
 	// advice.VerifyOutput walks parent chains and is quadratic on paths,

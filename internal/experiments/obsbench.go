@@ -3,7 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph/gen"
@@ -88,19 +87,8 @@ func ObsBench(c Config) []BenchResult {
 	var readBytes uint64
 	bad := 0
 	queriesBefore, _ := svc.Metrics().CounterValue("service_queries_total")
-	var before, after runtime.MemStats
 	runtime.GC() // settle the construction garbage before the timed trials
 
-	// measure times one segment: wall ns plus the process-global Mallocs
-	// and TotalAlloc deltas around it.
-	measure := func(f func()) (int64, uint64, uint64) {
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		f()
-		wall := time.Since(start).Nanoseconds()
-		runtime.ReadMemStats(&after)
-		return wall, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-	}
 	atomicSeg := func() {
 		for i := 0; i < per; i++ {
 			raw.Add(1)

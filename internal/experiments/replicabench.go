@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,14 +181,7 @@ func replicaBenchAt(c Config, n, queries int) []BenchResult {
 
 	// Warmup update: pays the lazy advisor build outside both measured
 	// phases, exactly like ServiceBench's churn warmup.
-	probe := svcAdvisorProbe(g)
-	target := graph.EdgeID(-1)
-	for e := 0; e < g.M(); e++ {
-		if !probe.InTree[e] {
-			target = graph.EdgeID(e)
-			break
-		}
-	}
+	target := nonTreeEdge(g)
 	if target < 0 {
 		panic("replica bench: no non-tree edge to churn")
 	}
@@ -211,7 +203,7 @@ func replicaBenchAt(c Config, n, queries int) []BenchResult {
 	// Phase 1: fault-free closed loop, direct to both endpoints, under
 	// the same write churn the chaos phase will see.
 	epochs0 := churn.epochs.Load()
-	freeRow := replicaQueryFixed(base, []string{addrP, addrR}, graphID, refs, 4, queries, n,
+	freeRow := replicaQuery(base, []string{addrP, addrR}, graphID, refs, 4, queries, n,
 		[]*obs.Registry{srvP.Metrics(), srvR.Metrics()})
 	freeRow.Scheme = "replica-query"
 	freeRow.Rounds = int(churn.epochs.Load() - epochs0)
@@ -332,9 +324,9 @@ func waitCaughtUp(rep *replica.Replica, target int, timeout time.Duration) {
 	}
 }
 
-// replicaQueryFixed drives a fixed-count closed loop and verifies every
+// replicaQuery drives a fixed-count closed loop and verifies every
 // answer against the published epoch it names.
-func replicaQueryFixed(base BenchResult, endpoints []string, graphID string,
+func replicaQuery(base BenchResult, endpoints []string, graphID string,
 	refs *epochRefs, workers, queries, n int, srvRegs []*obs.Registry) BenchResult {
 
 	cli, err := replica.NewClient(endpoints, replica.ClientOptions{
@@ -345,53 +337,33 @@ func replicaQueryFixed(base BenchResult, endpoints []string, graphID string,
 	}
 	defer cli.Close()
 
-	perWorker := queries / workers
-	if perWorker < 1 {
-		perWorker = 1
-	}
-	latencies := make([][]int64, workers)
-	for w := range latencies {
-		latencies[w] = make([]int64, perWorker)
-	}
 	var bad atomic.Int64
 	var firstBad atomic.Pointer[string]
-	flagBad := func(format string, args ...any) {
+	flagBad := func(format string, args ...any) bool {
 		bad.Add(1)
 		msg := fmt.Sprintf(format, args...)
 		firstBad.CompareAndSwap(nil, &msg)
+		return false
 	}
 	framesBefore := serverAdviceOKFrames(srvRegs)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lastEpoch := uint64(0)
-			lat := latencies[w]
-			for i := 0; i < perWorker; i++ {
-				node := (w*perWorker + i*7919) % n
-				q0 := time.Now()
-				ans, err := cli.Advice(context.Background(), graphID, node)
-				lat[i] = time.Since(q0).Nanoseconds()
-				if err != nil {
-					flagBad("query err node=%d: %v", node, err)
-					continue
-				}
-				if ans.Epoch < lastEpoch {
-					flagBad("epoch regressed node=%d: %d < %d", node, ans.Epoch, lastEpoch)
-					continue
-				}
-				if !ans.Bits.Equal(refs.bits(ans.Epoch, node)) {
-					flagBad("bits mismatch node=%d epoch=%d", node, ans.Epoch)
-					continue
-				}
-				lastEpoch = ans.Epoch
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
+	per := queriesPerWorker(queries, workers)
+	lastEpoch := make([]uint64, workers)
+	row := closedLoop{workers: workers, perWorker: per, ask: func(w, i int) (int64, bool, bool) {
+		node := (w*per + i*7919) % n
+		q0 := time.Now()
+		ans, err := cli.Advice(context.Background(), graphID, node)
+		lat := time.Since(q0).Nanoseconds()
+		switch {
+		case err != nil:
+			return lat, true, flagBad("query err node=%d: %v", node, err)
+		case ans.Epoch < lastEpoch[w]:
+			return lat, true, flagBad("epoch regressed node=%d: %d < %d", node, ans.Epoch, lastEpoch[w])
+		case !ans.Bits.Equal(refs.bits(ans.Epoch, node)):
+			return lat, true, flagBad("bits mismatch node=%d epoch=%d", node, ans.Epoch)
+		}
+		lastEpoch[w] = ans.Epoch
+		return lat, true, true
+	}}.run(base)
 
 	// Metrics-vs-truth cross-check: every advice frame the servers
 	// answered OK reached this client as either an accepted answer or a
@@ -405,19 +377,8 @@ func replicaQueryFixed(base BenchResult, endpoints []string, graphID string,
 		flagBad("metrics cross-check: servers answered %d advice frames OK, client observed %d (ok+stale)", serverOK, clientOK)
 	}
 
-	all := make([]int64, 0, workers*perWorker)
-	for _, lat := range latencies {
-		all = append(all, lat...)
-	}
-	slices.Sort(all)
-	total := int64(workers * perWorker)
-	row := base
-	row.Workers = workers
-	row.Queries = total
-	row.WallNS = wall.Nanoseconds()
-	row.QPS = float64(total) / wall.Seconds()
-	row.P50NS = all[len(all)/2]
-	row.P99NS = all[len(all)*99/100]
+	// Alloc columns stay zero (see ReplicaBench).
+	row.Allocs, row.AllocBytes, row.AllocsPerQuery = 0, 0, 0
 	row.Verified = bad.Load() == 0
 	if !row.Verified {
 		fmt.Fprintf(os.Stderr, "experiments: replica query contract failed: bad=%d first=%s\n",
@@ -485,140 +446,145 @@ func replicaChaosPhase(base BenchResult, env chaosEnv) []BenchResult {
 	}
 	defer cli.Close()
 
+	// The restarted endpoints outlive the script: they keep serving the
+	// workers until the loop stops, and close when this phase returns.
+	var closers []func()
+	defer func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}()
+
 	var (
-		stop         atomic.Bool
-		bad          atomic.Int64
-		readErrs     atomic.Int64
-		lastOKNS     atomic.Int64 // UnixNano of the last successful answer
-		maxGapNS     atomic.Int64
-		latMu        sync.Mutex
-		allLatencies []int64
+		bad      atomic.Int64
+		readErrs atomic.Int64
+		lastOKNS atomic.Int64 // UnixNano of the last successful answer
+		maxGapNS atomic.Int64
+
+		rep2         *replica.Replica
+		behind       int
+		catchup      time.Duration
+		caughtUp     bool
+		lag, applied float64
+		lagFound     bool
+		appliedTruth int
 	)
 	lastOKNS.Store(time.Now().UnixNano())
+	lastEpoch := make([]uint64, workers)
+
+	// The fault script runs while the workers query. Every wait is a
+	// fixed step so the phase's wall time is dominated by the script,
+	// not the machine.
+	script := func() {
+		time.Sleep(scriptStep)
+
+		// Kill the whole replica — tail loop, endpoint, in-memory state.
+		// Only its durable log survives; the writer races ahead while it
+		// is down.
+		env.rec.Record("chaos", "killing replica endpoint %s", env.addrR)
+		env.killReplica()
+		time.Sleep(scriptStep)
+
+		// Restart it from the durable log alone: replay the local mirror,
+		// resume tailing after it, serve on the same port.
+		follower2 := service.New()
+		rep2 = replica.NewReplica(follower2, env.addrP, replica.ReplicaOptions{
+			ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, Log: env.repLog,
+			Head: env.log.Len, Recorder: env.rec,
+		})
+		if err := rep2.ReplayLocal(); err != nil {
+			panic(err)
+		}
+		rep2Ctx, rep2Cancel := context.WithCancel(context.Background())
+		rep2Done := make(chan struct{})
+		go func() { defer close(rep2Done); rep2.Run(rep2Ctx) }()
+		closers = append(closers, func() { rep2Cancel(); <-rep2Done })
+		replicaRestart := time.Now()
+		targetR := env.log.Len()
+		behind = targetR - rep2.Applied()
+		srvR2 := replica.NewServer(follower2, nil, replica.ServerOptions{})
+		rebind(srvR2, env.addrR)
+		closers = append(closers, func() { srvR2.Close() })
+
+		env.rec.Record("chaos", "replica restarted from durable log, %d records behind", behind)
+
+		// Catch-up: the restarted replica drains everything the writer
+		// published while it was down.
+		waitCaughtUp(rep2, targetR, 30*time.Second)
+		catchup = time.Since(replicaRestart)
+		time.Sleep(scriptStep)
+
+		// Kill the primary — endpoint AND service state. The writer loses
+		// its target; the restarted primary must rebuild from the epoch
+		// log alone, exactly like a crashed process. The writer is drained
+		// and the replica brought to the log head BEFORE the kill: an
+		// epoch acknowledged only by the primary would be transiently
+		// unserveable anywhere, and a client that had already observed it
+		// would burn its whole failover budget on stale answers. (Crashing
+		// mid-write is exercised separately by the torn-record durable-log
+		// tests.)
+		env.churn.pause()
+		waitCaughtUp(rep2, env.log.Len(), 30*time.Second)
+		env.rec.Record("chaos", "killing primary endpoint %s", env.addrP)
+		env.srvP.Close()
+		time.Sleep(scriptStep)
+		primary2 := service.New()
+		if err := env.log.Replay(primary2); err != nil {
+			panic(err)
+		}
+		primary2.OnPublish(env.refs.hook)
+		env.log.Attach(primary2)
+		env.churn.cur.Store(primary2)
+		srvP2 := replica.NewServer(primary2, env.log, replica.ServerOptions{})
+		rebind(srvP2, env.addrP)
+		closers = append(closers, func() { srvP2.Close() })
+		env.rec.Record("chaos", "primary restarted from its epoch log (%d records)", env.log.Len())
+		env.churn.primaryUp.Store(true)
+
+		// The replica reconnects to the restarted primary and resumes the
+		// tail stream exactly where it stopped.
+		target := env.log.Len()
+		waitCaughtUp(rep2, target, 30*time.Second)
+		caughtUp = rep2.Applied() >= target
+
+		// Gauge-vs-truth check: quiesce the writer, drain the replica to
+		// the frozen log head, and the lag gauge must read exactly 0 — the
+		// scrape-time arithmetic (head − applied) agreeing with the ground
+		// truth the bench tracks itself.
+		env.churn.pause()
+		waitCaughtUp(rep2, env.log.Len(), 30*time.Second)
+		lag, lagFound = rep2.Metrics().GaugeValue("replica_lag_records")
+		applied, _ = rep2.Metrics().GaugeValue("replica_applied_records")
+		appliedTruth = rep2.Applied()
+		env.churn.primaryUp.Store(true)
+
+		time.Sleep(scriptStep)
+	}
 
 	epochs0 := env.churn.epochs.Load()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lastEpoch := uint64(0)
-			var lat []int64
-			for i := 0; !stop.Load(); i++ {
-				node := (w*7907 + i*7919) % env.n
-				q0 := time.Now()
-				ans, err := cli.Advice(context.Background(), env.graphID, node)
-				d := time.Since(q0).Nanoseconds()
-				if err != nil {
-					readErrs.Add(1)
-					continue
-				}
-				lat = append(lat, d)
-				now := time.Now().UnixNano()
-				prev := lastOKNS.Swap(now)
-				if gap := now - prev; gap > maxGapNS.Load() {
-					maxGapNS.Store(gap)
-				}
-				if ans.Epoch < lastEpoch || !ans.Bits.Equal(env.refs.bits(ans.Epoch, node)) {
-					bad.Add(1)
-					continue
-				}
-				lastEpoch = ans.Epoch
-			}
-			latMu.Lock()
-			allLatencies = append(allLatencies, lat...)
-			latMu.Unlock()
-		}(w)
-	}
-
-	// The fault script. Every wait is a fixed step so the phase's wall
-	// time is dominated by the script, not the machine.
-	time.Sleep(scriptStep)
-
-	// Kill the whole replica — tail loop, endpoint, in-memory state.
-	// Only its durable log survives; the writer races ahead while it is
-	// down.
-	env.rec.Record("chaos", "killing replica endpoint %s", env.addrR)
-	env.killReplica()
-	time.Sleep(scriptStep)
-
-	// Restart it from the durable log alone: replay the local mirror,
-	// resume tailing after it, serve on the same port.
-	follower2 := service.New()
-	rep2 := replica.NewReplica(follower2, env.addrP, replica.ReplicaOptions{
-		ReconnectBase: 5 * time.Millisecond, ReconnectCap: 50 * time.Millisecond, Log: env.repLog,
-		Head: env.log.Len, Recorder: env.rec,
-	})
-	if err := rep2.ReplayLocal(); err != nil {
-		panic(err)
-	}
-	rep2Ctx, rep2Cancel := context.WithCancel(context.Background())
-	rep2Done := make(chan struct{})
-	go func() { defer close(rep2Done); rep2.Run(rep2Ctx) }()
-	defer func() { rep2Cancel(); <-rep2Done }()
-	replicaRestart := time.Now()
-	targetR := env.log.Len()
-	behind := targetR - rep2.Applied()
-	srvR2 := replica.NewServer(follower2, nil, replica.ServerOptions{})
-	rebind(srvR2, env.addrR)
-	defer srvR2.Close()
-
-	env.rec.Record("chaos", "replica restarted from durable log, %d records behind", behind)
-
-	// Catch-up: the restarted replica drains everything the writer
-	// published while it was down.
-	waitCaughtUp(rep2, targetR, 30*time.Second)
-	catchup := time.Since(replicaRestart)
-	time.Sleep(scriptStep)
-
-	// Kill the primary — endpoint AND service state. The writer loses
-	// its target; the restarted primary must rebuild from the epoch log
-	// alone, exactly like a crashed process. The writer is drained and
-	// the replica brought to the log head BEFORE the kill: an epoch
-	// acknowledged only by the primary would be transiently unserveable
-	// anywhere, and a client that had already observed it would burn its
-	// whole failover budget on stale answers. (Crashing mid-write is
-	// exercised separately by the torn-record durable-log tests.)
-	env.churn.pause()
-	waitCaughtUp(rep2, env.log.Len(), 30*time.Second)
-	env.rec.Record("chaos", "killing primary endpoint %s", env.addrP)
-	env.srvP.Close()
-	time.Sleep(scriptStep)
-	primary2 := service.New()
-	if err := env.log.Replay(primary2); err != nil {
-		panic(err)
-	}
-	primary2.OnPublish(env.refs.hook)
-	env.log.Attach(primary2)
-	env.churn.cur.Store(primary2)
-	srvP2 := replica.NewServer(primary2, env.log, replica.ServerOptions{})
-	rebind(srvP2, env.addrP)
-	defer srvP2.Close()
-	env.rec.Record("chaos", "primary restarted from its epoch log (%d records)", env.log.Len())
-	env.churn.primaryUp.Store(true)
-
-	// The replica reconnects to the restarted primary and resumes the
-	// tail stream exactly where it stopped.
-	target := env.log.Len()
-	waitCaughtUp(rep2, target, 30*time.Second)
-	caughtUp := rep2.Applied() >= target
-
-	// Gauge-vs-truth check: quiesce the writer, drain the replica to the
-	// frozen log head, and the lag gauge must read exactly 0 — the
-	// scrape-time arithmetic (head − applied) agreeing with the ground
-	// truth the bench tracks itself.
-	env.churn.pause()
-	waitCaughtUp(rep2, env.log.Len(), 30*time.Second)
-	lag, lagFound := rep2.Metrics().GaugeValue("replica_lag_records")
-	applied, _ := rep2.Metrics().GaugeValue("replica_applied_records")
-	appliedTruth := rep2.Applied()
-	env.churn.primaryUp.Store(true)
-
-	time.Sleep(scriptStep)
-	stop.Store(true)
-	wg.Wait()
-	wall := time.Since(start)
+	// Only answered reads enter the latency sample; a failed read fails
+	// the row on its own count.
+	chaosRow := closedLoop{workers: workers, until: script, ask: func(w, i int) (int64, bool, bool) {
+		node := (w*7907 + i*7919) % env.n
+		q0 := time.Now()
+		ans, err := cli.Advice(context.Background(), env.graphID, node)
+		lat := time.Since(q0).Nanoseconds()
+		if err != nil {
+			readErrs.Add(1)
+			return lat, false, false
+		}
+		now := time.Now().UnixNano()
+		prev := lastOKNS.Swap(now)
+		if gap := now - prev; gap > maxGapNS.Load() {
+			maxGapNS.Store(gap)
+		}
+		if ans.Epoch < lastEpoch[w] || !ans.Bits.Equal(env.refs.bits(ans.Epoch, node)) {
+			bad.Add(1)
+			return lat, true, false
+		}
+		lastEpoch[w] = ans.Epoch
+		return lat, true, true
+	}}.run(base)
 
 	reconnects, _ := rep2.Metrics().CounterValue("replica_reconnects_total")
 	obsRow := base
@@ -636,27 +602,18 @@ func replicaChaosPhase(base BenchResult, env chaosEnv) []BenchResult {
 			lag, lagFound, applied, appliedTruth, reconnects, env.rec.Total())
 	}
 
-	slices.Sort(allLatencies)
-	total := int64(len(allLatencies))
-	chaosRow := base
 	chaosRow.Scheme = "replica-query-chaos"
-	chaosRow.Workers = workers
-	chaosRow.Queries = total
-	chaosRow.WallNS = wall.Nanoseconds()
-	if total > 0 {
-		chaosRow.QPS = float64(total) / wall.Seconds()
-		chaosRow.P50NS = allLatencies[total/2]
-		chaosRow.P99NS = allLatencies[total*99/100]
-	}
+	// Alloc columns stay zero (see ReplicaBench).
+	chaosRow.Allocs, chaosRow.AllocBytes, chaosRow.AllocsPerQuery = 0, 0, 0
 	chaosRow.Rounds = int(env.churn.epochs.Load() - epochs0)
 	// The contract: no wrong or stale answer ever, no failed read (the
 	// failover budget rides out every scripted kill), p99 within 10x of
 	// fault-free, and the replica fully caught up.
-	chaosRow.Verified = bad.Load() == 0 && readErrs.Load() == 0 && total > 0 &&
+	chaosRow.Verified = chaosRow.Verified && chaosRow.Queries > 0 &&
 		chaosRow.P99NS <= 10*env.freeP99 && caughtUp
 	if !chaosRow.Verified {
 		fmt.Fprintf(os.Stderr, "experiments: replica chaos contract failed: wrong=%d readErrs=%d queries=%d p99=%.2fms (bound %.2fms) caughtUp=%v\n",
-			bad.Load(), readErrs.Load(), total, float64(chaosRow.P99NS)/1e6, float64(10*env.freeP99)/1e6, caughtUp)
+			bad.Load(), readErrs.Load(), chaosRow.Queries, float64(chaosRow.P99NS)/1e6, float64(10*env.freeP99)/1e6, caughtUp)
 	}
 	out := []BenchResult{chaosRow}
 

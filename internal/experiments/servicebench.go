@@ -5,16 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/core"
 	"mstadvice/internal/graph"
 	"mstadvice/internal/graph/gen"
-	"mstadvice/internal/mst"
 	"mstadvice/internal/service"
 	"mstadvice/internal/store"
 )
@@ -77,18 +74,20 @@ func serviceBenchAt(c Config, n, queries int) []BenchResult {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "run.mstadv")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	if err := store.Save(path, &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: fresh}); err != nil {
-		panic(err)
-	}
-	snap, err := store.OpenMapped(path)
+	// The row claims Workers: 1, and the graph rebuild on load sizes its
+	// worker pool by GOMAXPROCS: run the segment on one P, the
+	// configuration the row (and its alloc baseline) claims.
+	var snap *store.Snapshot
+	prevProcs := runtime.GOMAXPROCS(1)
+	wall, allocs, bytes := measure(func() {
+		if err = store.Save(path, &store.Snapshot{Graph: g, Root: 0, Cap: core.DefaultCap, Advice: fresh}); err == nil {
+			snap, err = store.OpenMapped(path)
+		}
+	})
+	runtime.GOMAXPROCS(prevProcs)
 	if err != nil {
 		panic(err)
 	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
 	st, err := os.Stat(path)
 	if err != nil {
 		panic(err)
@@ -96,11 +95,11 @@ func serviceBenchAt(c Config, n, queries int) []BenchResult {
 	storeRow := base
 	storeRow.Scheme = "store-roundtrip"
 	storeRow.Workers = 1
-	storeRow.WallNS = wall.Nanoseconds()
-	storeRow.Allocs = after.Mallocs - before.Mallocs
-	storeRow.AllocBytes = after.TotalAlloc - before.TotalAlloc
+	storeRow.WallNS = wall
+	storeRow.Allocs = allocs
+	storeRow.AllocBytes = bytes
 	storeRow.Bytes = st.Size()
-	storeRow.Verified = graph.Equal(g, snap.Graph) == nil && adviceIdentical(fresh, snap.Advice)
+	storeRow.Verified = graph.Equal(g, snap.Graph) == nil && adviceEqual(fresh, snap.Advice)
 	out = append(out, storeRow)
 
 	// Serve the reloaded snapshot, never the in-memory original: the
@@ -111,10 +110,24 @@ func serviceBenchAt(c Config, n, queries int) []BenchResult {
 		panic(err)
 	}
 
+	// Every reply must be well-formed and, against a fixed epoch,
+	// byte-identical to the fresh oracle run (ref == nil accepts any
+	// reply: mid-churn every epoch's answer is plausible).
+	query := func(workers int, ref []*bitstring.BitString) closedLoop {
+		per, nodes := queriesPerWorker(queries, workers), g.N()
+		return closedLoop{workers: workers, perWorker: per, ask: func(w, i int) (int64, bool, bool) {
+			node := (w*per + i*7919) % nodes
+			q0 := time.Now()
+			bits, _, err := svc.AdviceBits(graphID, node)
+			lat := time.Since(q0).Nanoseconds()
+			return lat, true, err == nil && bits != nil && (ref == nil || bits.Equal(ref[node]))
+		}}
+	}
+
 	var seqWall int64
 	for _, workers := range benchWorkers() {
 		q0 := svcQueries(svc)
-		row := queryRow(base, svc, graphID, fresh, workers, queries, nil)
+		row := query(workers, fresh).run(base)
 		row.Scheme = "advice-query"
 		// Metrics-vs-truth cross-check: the server's query counter must
 		// have moved by exactly the number of answers the clients got.
@@ -130,31 +143,29 @@ func serviceBenchAt(c Config, n, queries int) []BenchResult {
 	// Churn row: 4 readers racing a writer that publishes epochs via
 	// batched weight updates. Readers only check reply well-formedness
 	// (any reply is plausible mid-churn); the epoch-level byte-identity
-	// is asserted against the final graph below. The writer's first
-	// update is a warmup outside the timed window — it pays the lazy
-	// advisor build (a full oracle + sensitivity run), which would
-	// otherwise eat the whole read window and publish zero epochs.
-	target := graph.EdgeID(-1)
-	probe := svcAdvisorProbe(g)
-	for e := 0; e < g.M(); e++ {
-		if !probe.InTree[e] {
-			target = graph.EdgeID(e)
-			break
-		}
-	}
-	var churn func(stop <-chan struct{}) int
-	if target >= 0 {
+	// is asserted against the final graph below. The writer runs until
+	// the readers finish; the number of epochs it published lands in
+	// the row's Rounds column, so the baseline records how much write
+	// pressure the read numbers absorbed. Its first update is a warmup
+	// outside the timed window — it pays the lazy advisor build (a full
+	// oracle + sensitivity run), which would otherwise eat the whole
+	// read window and publish zero epochs.
+	stop := make(chan struct{})
+	updates := 0
+	var churnWG sync.WaitGroup
+	if target := nonTreeEdge(g); target >= 0 {
 		w := g.Weight(target)
 		warmup := graph.Batch{Weights: []graph.WeightUpdate{{Edge: target, W: w + 1}}}
 		if _, err := svc.Update(context.Background(), graphID, warmup); err != nil {
 			panic(err)
 		}
-		churn = func(stop <-chan struct{}) int {
-			updates := 0
+		churnWG.Add(1)
+		go func() {
+			defer churnWG.Done()
 			for {
 				select {
 				case <-stop:
-					return updates
+					return
 				default:
 				}
 				b := graph.Batch{Weights: []graph.WeightUpdate{{Edge: target, W: w + graph.Weight(2+updates%2)}}}
@@ -163,11 +174,14 @@ func serviceBenchAt(c Config, n, queries int) []BenchResult {
 				}
 				updates++
 			}
-		}
+		}()
 	}
 	q0 := svcQueries(svc)
-	churnRow := queryRow(base, svc, graphID, nil, 4, queries, churn)
+	churnRow := query(4, nil).run(base)
+	close(stop)
+	churnWG.Wait()
 	churnRow.Scheme = "advice-query-churn"
+	churnRow.Rounds = updates
 	churnRow.Verified = churnRow.Verified && svcQueries(svc)-q0 == uint64(churnRow.Queries)
 	// The writer's allocations (graph clone + advice copy per published
 	// epoch) land in this row's counters, and the number of epochs the
@@ -185,91 +199,9 @@ func serviceBenchAt(c Config, n, queries int) []BenchResult {
 	if err != nil {
 		panic(err)
 	}
-	churnRow.Verified = churnRow.Verified && adviceIdentical(final, ep.Advice)
+	churnRow.Verified = churnRow.Verified && adviceEqual(final, ep.Advice)
 	out = append(out, churnRow)
 	return out
-}
-
-// queryRow drives one closed loop: `queries` advice lookups spread over
-// `workers` goroutines, each recording its per-query latency. ref, when
-// non-nil, is the expected assignment (Verified = every reply matches
-// it byte for byte). churn, when non-nil, runs on an extra goroutine
-// until the readers finish; the number of epochs it published is
-// reported in the row's Rounds column, so the baseline records how much
-// write pressure the read numbers absorbed.
-func queryRow(base BenchResult, svc *service.Service, graphID string,
-	ref []*bitstring.BitString, workers, queries int,
-	churn func(stop <-chan struct{}) int) BenchResult {
-
-	n := base.N
-	perWorker := queries / workers
-	if perWorker < 1 {
-		perWorker = 1 // a tiny -service-queries still measures something
-	}
-	latencies := make([][]int64, workers)
-	for w := range latencies {
-		latencies[w] = make([]int64, perWorker)
-	}
-	var bad atomic.Int64
-	stop := make(chan struct{})
-	updates := 0
-	var churnWG sync.WaitGroup
-	if churn != nil {
-		churnWG.Add(1)
-		go func() {
-			defer churnWG.Done()
-			updates = churn(stop)
-		}()
-	}
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := latencies[w]
-			for i := 0; i < perWorker; i++ {
-				node := (w*perWorker + i*7919) % n
-				q0 := time.Now()
-				bits, _, err := svc.AdviceBits(graphID, node)
-				lat[i] = time.Since(q0).Nanoseconds()
-				switch {
-				case err != nil || bits == nil:
-					bad.Add(1)
-				case ref != nil && !bits.Equal(ref[node]):
-					bad.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	close(stop)
-	churnWG.Wait()
-
-	all := make([]int64, 0, workers*perWorker)
-	for _, lat := range latencies {
-		all = append(all, lat...)
-	}
-	slices.Sort(all)
-	total := int64(workers * perWorker)
-	row := base
-	row.Workers = workers
-	row.Queries = total
-	row.WallNS = wall.Nanoseconds()
-	row.QPS = float64(total) / wall.Seconds()
-	row.P50NS = all[len(all)/2]
-	row.P99NS = all[len(all)*99/100]
-	row.Allocs = after.Mallocs - before.Mallocs
-	row.AllocBytes = after.TotalAlloc - before.TotalAlloc
-	row.AllocsPerQuery = float64(row.Allocs) / float64(total)
-	row.Rounds = updates
-	row.Verified = bad.Load() == 0
-	return row
 }
 
 // svcQueries reads the service's lifetime query counter — the
@@ -277,33 +209,4 @@ func queryRow(base BenchResult, svc *service.Service, graphID string,
 func svcQueries(svc *service.Service) uint64 {
 	v, _ := svc.Metrics().CounterValue("service_queries_total")
 	return v
-}
-
-// adviceIdentical reports bit-identity of two assignments.
-func adviceIdentical(a, b []*bitstring.BitString) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for u := range a {
-		if !a[u].Equal(b[u]) {
-			return false
-		}
-	}
-	return true
-}
-
-// svcAdvisorProbe computes just the MST membership needed to pick a
-// churn target without paying a full sensitivity analysis.
-type treeProbe struct{ InTree []bool }
-
-func svcAdvisorProbe(g *graph.Graph) treeProbe {
-	tree, err := mst.Kruskal(g)
-	if err != nil {
-		panic(err)
-	}
-	inTree := make([]bool, g.M())
-	for _, e := range tree {
-		inTree[e] = true
-	}
-	return treeProbe{InTree: inTree}
 }

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"time"
 
+	"mstadvice/internal/advice"
 	"mstadvice/internal/graph/gen"
 	"mstadvice/internal/problem/topo"
 	"mstadvice/internal/report"
@@ -89,12 +88,8 @@ func TopoBench(c Config) []BenchResult {
 // an async reference run whose agreement feeds the Verified column.
 func topoRow(c Config, fam string, n int, s topo.Flood, asyncParity bool) BenchResult {
 	g := c.graph(fam, n, int64(n)+59, gen.SeededOptions{})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	res := mustRun(s, g, 0, sim.Options{Workers: 1})
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
+	var res *advice.Result
+	wall, allocs, bytes := measure(func() { res = mustRun(s, g, 0, sim.Options{Workers: 1}) })
 
 	verified := res.Verified && res.Problem == topo.Name
 	if asyncParity {
@@ -117,9 +112,9 @@ func topoRow(c Config, fam string, n int, s topo.Flood, asyncParity bool) BenchR
 		Rounds:     res.Rounds,
 		Messages:   res.Messages,
 		MsgBits:    res.MsgBits,
-		WallNS:     wall.Nanoseconds(),
-		Allocs:     after.Mallocs - before.Mallocs,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
+		WallNS:     wall,
+		Allocs:     allocs,
+		AllocBytes: bytes,
 		Verified:   verified,
 	}
 }

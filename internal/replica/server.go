@@ -140,32 +140,42 @@ func (s *Server) serveConn(conn net.Conn) {
 		if len(payload) == 0 {
 			return
 		}
-		c := &cursor{b: payload[1:]}
-		op := opName(payload[0])
-		var reply []byte
-		switch payload[0] {
-		case opAdvice:
-			reply = s.handleAdvice(c)
-		case opTier:
-			reply = s.handleTier(c)
-		case opInfo:
-			reply = s.handleInfo(c)
-		case opTail:
+		if payload[0] == opTail {
 			s.met.tailSessions.Add(1)
-			s.streamLog(conn, c)
+			s.streamLog(conn, &cursor{b: payload[1:]})
 			s.met.tailSessions.Add(-1)
 			return
-		default:
-			reply = errReply(codeBad, "unknown opcode")
 		}
+		reply := s.dispatch(payload)
 		result := "ok"
-		if len(reply) > 0 && reply[0] == rErr {
+		if reply[0] == rErr {
 			result = "error"
 		}
-		s.met.frame(op, result, len(reply))
+		s.met.frame(opName(payload[0]), result, len(reply))
 		if !s.writeFrame(conn, reply) {
 			return
 		}
+	}
+}
+
+// dispatch answers one point-query request frame (every opcode but the
+// tail stream, which serveConn owns). The reply is never empty: it
+// starts with rOK and the op's fields, or with rErr, a code and a
+// message — for malformed, truncated and unknown frames too.
+func (s *Server) dispatch(payload []byte) []byte {
+	if len(payload) == 0 {
+		return errReply(codeBad, "empty frame")
+	}
+	c := &cursor{b: payload[1:]}
+	switch payload[0] {
+	case opAdvice:
+		return s.handleAdvice(c)
+	case opTier:
+		return s.handleTier(c)
+	case opInfo:
+		return s.handleInfo(c)
+	default:
+		return errReply(codeBad, "unknown opcode")
 	}
 }
 
@@ -175,7 +185,13 @@ func (s *Server) writeFrame(conn net.Conn, payload []byte) bool {
 	return err == nil
 }
 
+// errReply encodes an error reply. The message is clipped to the wire
+// string limit: it may echo request fields (a graph ID of up to that
+// limit), and the client rejects a longer string as a malformed frame.
 func errReply(code uint64, msg string) []byte {
+	if len(msg) > maxWireString {
+		msg = msg[:maxWireString]
+	}
 	buf := []byte{rErr}
 	buf = binary.AppendUvarint(buf, code)
 	return appendString(buf, msg)
@@ -186,14 +202,14 @@ func (s *Server) handleAdvice(c *cursor) []byte {
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
-	node, err := c.uvarint("node")
+	node, err := c.index("node")
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
 	if s.opts.TierOnly {
 		return errReply(codeDegraded, "endpoint serves only coarse tiers")
 	}
-	bits, epoch, err := s.svc.AdviceBits(id, int(node))
+	bits, epoch, err := s.svc.AdviceBits(id, node)
 	if err != nil {
 		return serviceErrReply(err)
 	}
@@ -208,11 +224,11 @@ func (s *Server) handleTier(c *cursor) []byte {
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
-	level, err := c.uvarint("tier level")
+	level, err := c.index("tier level")
 	if err != nil {
 		return errReply(codeBad, err.Error())
 	}
-	tier, epoch, err := s.svc.Tier(id, int(level))
+	tier, epoch, err := s.svc.Tier(id, level)
 	if err != nil {
 		return serviceErrReply(err)
 	}
@@ -270,14 +286,14 @@ func (s *Server) streamLog(conn net.Conn, c *cursor) {
 		s.writeFrame(conn, errReply(codeBad, "endpoint serves no epoch log"))
 		return
 	}
-	after, err := c.uvarint("tail index")
+	after, err := c.index("tail index")
 	if err != nil {
 		s.met.frame("tail", "error", 0)
 		s.writeFrame(conn, errReply(codeBad, err.Error()))
 		return
 	}
 	s.met.frame("tail", "ok", 0)
-	for i := int(after); ; i++ {
+	for i := after; ; i++ {
 		if !s.log.WaitFor(i, s.stop) {
 			return
 		}

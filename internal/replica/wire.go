@@ -3,6 +3,7 @@ package replica
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"mstadvice/internal/bitstring"
 )
@@ -62,6 +63,19 @@ func (c *cursor) uvarint(what string) (uint64, error) {
 	}
 	c.pos += k
 	return v, nil
+}
+
+// index reads a varint that must fit an int: a node, level or log index
+// past math.MaxInt would wrap negative on conversion.
+func (c *cursor) index(what string) (int, error) {
+	v, err := c.uvarint(what)
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxInt {
+		return 0, fmt.Errorf("replica: %s %d out of range", what, v)
+	}
+	return int(v), nil
 }
 
 func (c *cursor) bytes(n int, what string) ([]byte, error) {
