@@ -16,40 +16,39 @@ import (
 // symbol missing here — together they pin the README against facade
 // drift in both directions.
 var facadeFor = map[string]any{
-	"trivial.Scheme.Advise":        mstadvice.Trivial,
-	"lowerbound.BuildGn":           mstadvice.BuildGn,
-	"lowerbound.NewFamily":         mstadvice.NewLowerBoundFamily,
-	"oneround.Scheme.Advise":       mstadvice.OneRound,
-	"core.BuildAdvice":             mstadvice.MSTProblem().Encode,
-	"core.Scheme.NewNode":          mstadvice.ConstantAdvice,
-	"core.NewSchedule":             mstadvice.NewSchedule,
-	"core.BuildAdviceDetailOpt":    mstadvice.MSTProblem().Encode,
-	"boruvka.Decompose":            mstadvice.Decompose,
-	"boruvka.DecomposeOpt":         mstadvice.DecomposeOpt,
-	"sim.Network.Run":              mstadvice.Run,
-	"sim.Network.RunAsync":         mstadvice.RunOptions{Async: true},
-	"sim.Options":                  mstadvice.RunOptions{},
-	"advice.Run":                   mstadvice.Run,
-	"problem.Register":             mstadvice.RegisterProblem,
-	"problem.BySchemeName":         mstadvice.SchemeByName,
-	"mstp.Problem.Encode":          mstadvice.MSTProblem,
-	"topo.Problem.Encode":          mstadvice.TopologyRecognition,
-	"topo.Flood.Advise":            mstadvice.TopoFlood,
-	"topo.NewFamily":               mstadvice.NewTopoLowerBoundFamily,
-	"boruvka.Tower":                mstadvice.Tower{},
-	"hier.Encode":                  mstadvice.HierScheme,
-	"hier.Scheme.NewNode":          mstadvice.HierScheme,
-	"hier.BuildTiers":              mstadvice.BuildAdviceTiers,
-	"service.Service.TierSnapshot": (*mstadvice.AdviceService).TierSnapshot,
-	"replica.Log.Attach":           (*mstadvice.EpochLog).Attach,
-	"replica.Replica.Run":          (*mstadvice.Replica).Run,
-	"replica.Client.Advice":        (*mstadvice.ReplicaClient).Advice,
-	"chaos.Proxy":                  mstadvice.NewChaosProxy,
-	"chaos.Schedule":               mstadvice.ChaosSchedule{},
-	"gen.BuildSeeded":              mstadvice.GenSeeded,
-	"graph.FromEdgeList":           mstadvice.GenSeeded,           // the seeded build path constructs through it
-	"par.Steal":                    mstadvice.DecomposeOpt,        // the phase kernel's min-edge scans run on it
-	"boruvka.NewStream":            mstadvice.MSTProblem().Encode, // the fused encoder streams through it
+	"trivial.Scheme.Advise":           mstadvice.Trivial,
+	"lowerbound.BuildGn":              mstadvice.BuildGn,
+	"lowerbound.NewFamily":            mstadvice.NewLowerBoundFamily,
+	"oneround.Scheme.Advise":          mstadvice.OneRound,
+	"core.BuildAdvice":                mstadvice.MSTProblem().Encode,
+	"core.Scheme.NewNode":             mstadvice.ConstantAdvice,
+	"core.NewSchedule":                mstadvice.NewSchedule,
+	"core.BuildAdviceDetailOpt":       mstadvice.MSTProblem().Encode,
+	"boruvka.Decompose":               mstadvice.Decompose,
+	"boruvka.Decomposition.Fragments": (*mstadvice.Decomposition).Fragments,
+	"sim.Network.Run":                 mstadvice.Run,
+	"sim.Network.RunAsync":            mstadvice.RunOptions{Async: true},
+	"sim.Options":                     mstadvice.RunOptions{},
+	"advice.Run":                      mstadvice.Run,
+	"problem.Register":                mstadvice.RegisterProblem,
+	"problem.BySchemeName":            mstadvice.SchemeByName,
+	"mstp.Problem.Encode":             mstadvice.MSTProblem,
+	"topo.Problem.Encode":             mstadvice.TopologyRecognition,
+	"topo.Flood.Advise":               mstadvice.TopoFlood,
+	"topo.NewFamily":                  mstadvice.NewTopoLowerBoundFamily,
+	"boruvka.Tower":                   mstadvice.Tower{},
+	"hier.Encode":                     mstadvice.HierScheme,
+	"hier.Scheme.NewNode":             mstadvice.HierScheme,
+	"hier.BuildTiers":                 mstadvice.BuildAdviceTiers,
+	"service.Service.TierSnapshot":    (*mstadvice.AdviceService).TierSnapshot,
+	"replica.Log.Attach":              (*mstadvice.EpochLog).Attach,
+	"replica.Replica.Run":             (*mstadvice.Replica).Run,
+	"replica.Client.Advice":           (*mstadvice.ReplicaClient).Advice,
+	"chaos.Proxy":                     mstadvice.NewChaosProxy,
+	"chaos.Schedule":                  mstadvice.ChaosSchedule{},
+	"gen.BuildSeeded":                 mstadvice.GenSeeded,
+	"graph.FromEdgeList":              mstadvice.GenSeeded, // the seeded build path constructs through it
+	"par.Steal":                       mstadvice.Decompose, // the phase kernel's min-edge scans run on it
 }
 
 // symbolRe matches backtick-quoted internal symbols of the form

@@ -12,12 +12,18 @@
 // has at least 2^i nodes, so a fragment active at phase i satisfies
 // 2^(i-1) <= |F| < 2^i and at most n/2^(i-1) fragments are active.
 //
-// A Decomposition records, for every phase, the fragment partition, each
-// fragment's root (its node closest to the chosen global root in the final
-// tree T), its level (the parity of its depth in the "tree of fragments"
-// T_i), its selection (chooser node, selected edge, up/down orientation),
-// and the BFS ordering of its fragment tree T_F. These are exactly the
-// quantities the paper's oracles encode into advice.
+// The construction has two passes. Decompose runs the merge simulation
+// (pass 1): it returns the whole-run outputs — the MST, its rooting and
+// each tree edge's selection phase — and retains every phase's raw
+// partition. Decomposition.Fragments is pass 2, one phase at a time: it
+// annotates each fragment of the partition at the start of a phase with
+// its root (its node closest to the chosen global root in the final tree
+// T), its level (the parity of its depth in the "tree of fragments" T_i),
+// its selection (chooser node, selected edge, up/down orientation) and
+// the BFS ordering of its fragment tree T_F, and hands it to a visitor.
+// These are exactly the quantities the paper's oracles encode into
+// advice; each consumer reads the phases it needs and nothing is
+// materialised beyond the visit.
 //
 // The phase kernel is built for n = 10⁶-scale graphs. The cross-fragment
 // edge list is contracted in place: each phase relabels the surviving
@@ -56,56 +62,37 @@ type Selection struct {
 	Up      bool // true iff the edge leads from the chooser towards the global root in T
 }
 
-// Fragment is the state of one fragment at the start of a phase.
+// Fragment is one annotated fragment of the partition at the start of a
+// phase, as Decomposition.Fragments hands it to its visitor. BFS is a
+// view into a per-call arena that stays valid after the call returns;
+// Sel is meaningful only when HasSel is set.
 type Fragment struct {
-	ID     FragID
-	Nodes  []graph.NodeID // ascending node index
+	Phase  int    // 1-based phase index; TotalPhases+1 for the spanning fragment
+	ID     FragID // dense fragment ID within the phase
+	Active bool
 	Root   graph.NodeID   // r_F: the fragment node closest to the global root in T
 	Level  int            // parity (0 or 1) of the depth of x_F in the rooted tree of fragments T_i
-	Active bool
-	Sel    *Selection     // nil for passive fragments (and for the lone final fragment)
 	BFS    []graph.NodeID // BFS order of T_F from Root; children visited by (weight, port at parent)
+	HasSel bool
+	Sel    Selection
 }
 
 // Size returns the number of nodes in the fragment.
-func (f *Fragment) Size() int { return len(f.Nodes) }
-
-// Phase is the state of the construction at the start of phase Index plus
-// the selections made during it.
-type Phase struct {
-	Index     int // i, starting at 1
-	Fragments []Fragment
-	FragOf    []FragID // node -> fragment holding it at the start of this phase
-}
-
-// ByNode returns the fragment containing u at the start of the phase.
-func (p *Phase) ByNode(u graph.NodeID) *Fragment { return &p.Fragments[p.FragOf[u]] }
-
-// ActiveCount returns the number of active fragments in the phase.
-func (p *Phase) ActiveCount() int {
-	c := 0
-	for i := range p.Fragments {
-		if p.Fragments[i].Active {
-			c++
-		}
-	}
-	return c
-}
+func (f *Fragment) Size() int { return len(f.BFS) }
 
 // Options tune a decomposition run without changing its result.
 type Options struct {
-	// Workers is the phase-kernel pool size; 0 means GOMAXPROCS. The
-	// Decomposition is byte-identical for any value.
+	// Workers is the pool size of the phase kernel and of Fragments; 0
+	// means GOMAXPROCS. Every output is byte-identical for any value.
 	Workers int
-	// KeepPhases, when positive, records only the first KeepPhases phase
-	// records (the merge simulation always runs to completion, so
-	// TotalPhases, TreeEdges, ParentPort, ParentEdge, SelPhase and Final
-	// are unaffected). A value larger than the number of phases the run
-	// executes is silently clamped: the record simply ends at
-	// TotalPhases, and Decomposition.KeptPhases reports the count that
-	// was actually retained. The Theorem 3 oracle needs only the first
-	// ⌈log log n⌉ + 1 phases, which at n = 10⁶ skips the annotation and
-	// storage of ~14 of ~20 phases. 0 records every phase.
+	// KeepPhases, when positive, retains the partitions of only the
+	// first KeepPhases phases for Fragments (the merge simulation always
+	// runs to completion, so TotalPhases, TreeEdges, ParentPort,
+	// ParentEdge, SelPhase and the spanning fragment are unaffected). A
+	// value larger than the number of phases the run executes retains
+	// them all. The Theorem 3 oracle reads only the first
+	// ⌈log log n⌉ + 1 phases, which at n = 10⁶ skips the storage of ~14
+	// of ~20 phases. 0 retains every phase.
 	KeepPhases int
 	// KeepTower, when set, retains the full contraction tower — every
 	// per-phase contracted graph with its fragment→supernode map and
@@ -114,28 +101,22 @@ type Options struct {
 	// the flat record of each phase is complete, so every flat output
 	// stays byte-identical whether or not the tower is kept. KeepPhases
 	// does not truncate the tower: the hierarchical codec needs the
-	// coarse graphs at levels the flat oracle never records.
+	// coarse graphs at levels the flat oracle never retains.
 	KeepTower bool
 }
 
-// Decomposition is the full record of a run of the Borůvka variant.
+// Decomposition is a run of the Borůvka variant: the whole-run outputs,
+// complete on return from Decompose, plus the retained per-phase
+// partitions that Fragments annotates on demand.
 type Decomposition struct {
 	G    *graph.Graph
 	Root graph.NodeID
 
-	// Phases[i-1] describes phase i. The last phase is the one whose merges
-	// produced a single fragment; phases with no active fragments (possible
-	// when early merges overshoot) appear with no selections. With
-	// Options.KeepPhases only a leading subset is present.
-	Phases []Phase
-
-	// TotalPhases is the number of phases the construction executed,
-	// regardless of how many were recorded.
+	// TotalPhases is the number of phases the construction executed. The
+	// last phase is the one whose merges produced a single fragment;
+	// phases with no active fragments (possible when early merges
+	// overshoot) have no selections.
 	TotalPhases int
-
-	// Final is the single spanning fragment reached after the last phase,
-	// with its BFS order (used by the final stage of the Theorem 3 scheme).
-	Final Fragment
 
 	// TreeEdges is the unique MST under the global order, ascending.
 	TreeEdges []graph.EdgeID
@@ -151,6 +132,10 @@ type Decomposition struct {
 	// Tower is the contraction tower, captured only under
 	// Options.KeepTower; nil otherwise.
 	Tower *Tower
+
+	// raws[i-1] is the retained pass-1 record of phase i.
+	raws    []rawPhase
+	workers int
 
 	// Flattened views of the rooted tree, computed once and shared by all
 	// phase annotations: the T-parent of u (-1 for the root), the weight
@@ -168,29 +153,6 @@ type Decomposition struct {
 	bfsStart []int32 // start of a parent's child segment in the kids arena
 	bfsFill  []int32 // next free index in that segment
 	bfsCnt   []int32 // number of in-fragment children
-}
-
-// NumPhases returns the number of recorded phases (the number executed,
-// unless Options.KeepPhases truncated the record; see TotalPhases).
-func (d *Decomposition) NumPhases() int { return len(d.Phases) }
-
-// KeptPhases returns the number of phase records actually retained:
-// min(Options.KeepPhases, TotalPhases) when KeepPhases was positive,
-// TotalPhases otherwise. Callers that need the clamped count should use
-// this instead of re-deriving it from the options.
-func (d *Decomposition) KeptPhases() int { return len(d.Phases) }
-
-// FragmentsAtStart returns the fragment state at the start of phase i
-// (1-based). i may be NumPhases()+1, which yields the final single
-// fragment when all phases were recorded.
-func (d *Decomposition) FragmentsAtStart(i int) []Fragment {
-	if i >= 1 && i <= len(d.Phases) {
-		return d.Phases[i-1].Fragments
-	}
-	if i == len(d.Phases)+1 && len(d.Phases) == d.TotalPhases {
-		return []Fragment{d.Final}
-	}
-	panic(fmt.Sprintf("boruvka: phase %d out of range [1,%d]", i, len(d.Phases)+1))
 }
 
 // rawPhase is the pass-1 record of one phase: the partition as flat
@@ -212,208 +174,53 @@ type liveEdge struct {
 	u, v int32 // endpoint fragment IDs for the current phase
 }
 
-// Decompose runs the variant on a connected graph and records every phase.
-func Decompose(g *graph.Graph, root graph.NodeID) (*Decomposition, error) {
-	return DecomposeOpt(g, root, Options{})
-}
-
-// DecomposeOpt is Decompose with an explicit worker count and phase
-// retention; the result is byte-identical for any Options.Workers.
-func DecomposeOpt(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, error) {
-	d, raws, workers, err := decomposePass1(g, root, opt)
-	if err != nil {
-		return nil, err
-	}
-	n := g.N()
-
-	// ---- Pass 2: enrich every recorded phase with roots, levels,
-	// orientations and BFS orders, all defined relative to the final
-	// rooted tree T. Each phase's fragment BFS orders (and child
-	// segments) live in flat per-phase arenas sliced by the member
-	// offsets, and fragments are annotated in parallel — they touch
-	// disjoint node sets.
-	for pi := range raws {
-		raw := &raws[pi]
-		nf := len(raw.memOff) - 1
-		ph := Phase{Index: pi + 1, FragOf: raw.fragOf}
-		frags := make([]Fragment, nf)
-		for f := 0; f < nf; f++ {
-			frags[f] = Fragment{
-				ID:     FragID(f),
-				Nodes:  raw.memFlat[raw.memOff[f]:raw.memOff[f+1]:raw.memOff[f+1]],
-				Active: raw.active[f],
-			}
-		}
-		d.annotate(frags, raw.fragOf, raw.memOff, raw.memFlat, workers)
-		// Selections live in one per-phase slab instead of one allocation
-		// per selecting fragment (phase 1 alone has ~n of them).
-		nSel := 0
-		for f := 0; f < nf; f++ {
-			if raw.selEdge[f] != -1 {
-				nSel++
-			}
-		}
-		selSlab := make([]Selection, 0, nSel)
-		for f := 0; f < nf; f++ {
-			e := raw.selEdge[f]
-			if e == -1 {
-				continue
-			}
-			chooser := raw.selChooser[f]
-			selSlab = append(selSlab, Selection{
-				Chooser: chooser,
-				Edge:    e,
-				Up:      d.ParentEdge[chooser] == e,
-			})
-			frags[f].Sel = &selSlab[len(selSlab)-1]
-		}
-		ph.Fragments = frags
-		d.Phases = append(d.Phases, ph)
-	}
-
-	// Final single fragment.
-	finalNodes := make([]graph.NodeID, n)
-	for u := range finalNodes {
-		finalNodes[u] = graph.NodeID(u)
-	}
-	finalFragOf := make([]FragID, n)
-	finalOff := []int32{0, int32(n)}
-	final := []Fragment{{ID: 0, Nodes: finalNodes, Active: false}}
-	d.annotate(final, finalFragOf, finalOff, finalNodes, workers)
-	d.Final = final[0]
-
-	return d, nil
-}
-
-// StreamVisit is one annotated fragment as DecomposeStream delivers it.
-// BFS is a view into a per-phase arena that stays valid after the
-// stream completes; Sel is meaningful only when HasSel is set. Final
-// marks the fragments of the partition the fused oracle treats as the
-// final stage — the KeepPhases-th recorded phase when the run reaches
-// it, otherwise the synthesized single spanning fragment.
-type StreamVisit struct {
-	Phase  int // 1-based phase index the partition belongs to
-	Frag   int // dense fragment ID within the phase
-	Final  bool
-	Active bool
-	Root   graph.NodeID
-	Level  int
-	BFS    []graph.NodeID
-	HasSel bool
-	Sel    Selection
-}
-
-// Stream is a decomposition whose pass 2 has not run yet. D's flat
-// outputs (TreeEdges, ParentPort, ParentEdge, SelPhase, TotalPhases,
-// Tower) are complete on return from NewStream, so a consumer may read
-// them while its Run visitor streams the annotated fragments; D never
-// grows Phases or Final records (NumPhases() stays 0).
-type Stream struct {
-	D       *Decomposition
-	raws    []rawPhase
-	keep    int
-	workers int
-}
-
-// NewStream runs pass 1 of the construction (identical to DecomposeOpt)
-// and defers annotation to Run. See DESIGN.md §2.12.
-func NewStream(g *graph.Graph, root graph.NodeID, opt Options) (*Stream, error) {
-	d, raws, workers, err := decomposePass1(g, root, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{D: d, raws: raws, keep: opt.KeepPhases, workers: workers}, nil
-}
-
-// Run fuses pass 2 with its consumer: instead of materialising Phase
-// and Fragment records, each annotated fragment is handed to visit
-// exactly once, in ascending phase order with a barrier between phases.
-// Within a phase, visits run concurrently across fragments (visit
-// receives the worker index for per-worker scratch and must only touch
-// fragment-local or worker-local state); a visit error aborts the
-// stream with the lowest (phase, fragment) failure, matching sequential
-// semantics. BFS views land in per-phase arenas and stay valid after
-// the stream completes.
+// Fragments annotates the partition at the start of phase i — each
+// fragment's root, level, BFS order and selection, all relative to the
+// final rooted tree T — and hands every fragment to visit exactly once.
+// i is a retained phase (1..min(KeepPhases, TotalPhases), every phase
+// when KeepPhases ≤ 0) or TotalPhases+1, the single spanning fragment
+// the last phase produced, which needs no retained record; any other i
+// is an error.
 //
-// Phases 1..min(KeepPhases, TotalPhases) are streamed (all phases when
-// KeepPhases <= 0). The phase numbered KeepPhases is flagged Final; if
-// the run completes before reaching it, the single spanning fragment is
-// synthesized and streamed as phase TotalPhases+1 with Final set — the
-// same partition FragmentsAtStart(NumPhases()+1) exposes on the rich
-// path.
-func (s *Stream) Run(visit func(w int, v StreamVisit) error) error {
-	d := s.D
-	for pi := range s.raws {
-		raw := &s.raws[pi]
-		isFinal := s.keep > 0 && pi+1 == s.keep
-		err := d.annotateRaw(raw.memOff, raw.memFlat, raw.fragOf, s.workers, func(w, fi int, v fragView) error {
-			sv := StreamVisit{
-				Phase:  pi + 1,
-				Frag:   fi,
-				Final:  isFinal,
-				Active: raw.active[fi],
-				Root:   v.root,
-				Level:  v.level,
-				BFS:    v.bfs,
-			}
-			if e := raw.selEdge[fi]; e != -1 {
-				ch := raw.selChooser[fi]
-				sv.HasSel = true
-				sv.Sel = Selection{Chooser: ch, Edge: e, Up: d.ParentEdge[ch] == e}
-			}
-			return visit(w, sv)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if s.keep <= 0 || len(s.raws) < s.keep {
-		// The run ended inside the retention budget: stream the spanning
-		// fragment as the final stage.
+// Visits run concurrently across fragments: visit receives the worker
+// index for per-worker scratch and must only touch fragment-local or
+// worker-local state. A visit error aborts the call with the lowest
+// failing fragment's error, the sequential order's outcome. Calls on
+// one Decomposition share annotation scratch and must not overlap.
+func (d *Decomposition) Fragments(i int, visit func(w int, f Fragment) error) error {
+	if i == d.TotalPhases+1 {
 		n := d.G.N()
-		finalNodes := make([]graph.NodeID, n)
-		for u := range finalNodes {
-			finalNodes[u] = graph.NodeID(u)
+		nodes := make([]graph.NodeID, n)
+		for u := range nodes {
+			nodes[u] = graph.NodeID(u)
 		}
-		finalFragOf := make([]FragID, n)
-		finalOff := []int32{0, int32(n)}
-		return d.annotateRaw(finalOff, finalNodes, finalFragOf, s.workers, func(w, fi int, v fragView) error {
-			return visit(w, StreamVisit{
-				Phase: d.TotalPhases + 1,
-				Frag:  0,
-				Final: true,
-				Root:  v.root,
-				Level: v.level,
-				BFS:   v.bfs,
-			})
-		})
+		return d.annotate(i, &rawPhase{
+			fragOf:     make([]FragID, n),
+			memOff:     []int32{0, int32(n)},
+			memFlat:    nodes,
+			active:     []bool{false},
+			selEdge:    []graph.EdgeID{-1},
+			selChooser: []graph.NodeID{-1},
+		}, visit)
 	}
-	return nil
+	if i < 1 || i > len(d.raws) {
+		return fmt.Errorf("boruvka: phase %d not retained (retained phases 1..%d, spanning fragment at %d)",
+			i, len(d.raws), d.TotalPhases+1)
+	}
+	return d.annotate(i, &d.raws[i-1], visit)
 }
 
-// DecomposeStream is NewStream followed by Run, for consumers that need
-// nothing from the Decomposition before the visits start.
-func DecomposeStream(g *graph.Graph, root graph.NodeID, opt Options, visit func(w int, v StreamVisit) error) (*Decomposition, error) {
-	s, err := NewStream(g, root, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Run(visit); err != nil {
-		return nil, err
-	}
-	return s.D, nil
-}
-
-// decomposePass1 runs the merge simulation (pass 1) and builds the flat
-// outputs and shared annotation scratch: everything both the rich and
-// the streaming pass-2 consumers need.
-func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, []rawPhase, int, error) {
+// Decompose runs the variant on a connected graph: the merge simulation
+// to completion, the whole-run outputs, and the partitions of the phases
+// Options.KeepPhases retains for Fragments. The result is byte-identical
+// for any Options.Workers.
+func Decompose(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposition, error) {
 	n := g.N()
 	if n == 0 {
-		return nil, nil, 0, fmt.Errorf("boruvka: empty graph")
+		return nil, fmt.Errorf("boruvka: empty graph")
 	}
 	if int(root) < 0 || int(root) >= n {
-		return nil, nil, 0, fmt.Errorf("boruvka: root %d out of range", root)
+		return nil, fmt.Errorf("boruvka: root %d out of range", root)
 	}
 	m := g.M()
 	workers := par.Workers(opt.Workers)
@@ -474,7 +281,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 	phases := 0
 	for i := 1; dsu.Sets() > 1; i++ {
 		if i > n+1 {
-			return nil, nil, 0, fmt.Errorf("boruvka: phase bound exceeded (internal error)")
+			return nil, fmt.Errorf("boruvka: phase bound exceeded (internal error)")
 		}
 		phases = i
 		record := opt.KeepPhases <= 0 || len(raws) < opt.KeepPhases
@@ -612,19 +419,19 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 				// fragments merged through other selections this phase and
 				// this edge would close a cycle. The intrinsic total order
 				// rules this out.
-				return nil, nil, 0, fmt.Errorf("boruvka: selected edges formed a cycle (internal error)")
+				return nil, fmt.Errorf("boruvka: selected edges formed a cycle (internal error)")
 			}
 		}
 	}
 
 	if len(treeEdges) != n-1 {
-		return nil, nil, 0, fmt.Errorf("boruvka: graph is disconnected (%d tree edges for %d nodes)", len(treeEdges), n)
+		return nil, fmt.Errorf("boruvka: graph is disconnected (%d tree edges for %d nodes)", len(treeEdges), n)
 	}
 	sortTreeEdges(treeEdges, workers)
 
 	parentPort, err := mst.Root(g, treeEdges, root)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 
 	d := &Decomposition{
@@ -635,6 +442,8 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 		ParentPort:  parentPort,
 		SelPhase:    selPhase,
 		Tower:       tower,
+		raws:        raws,
+		workers:     workers,
 	}
 
 	// Flattened rooted-tree views shared by every phase annotation.
@@ -668,7 +477,7 @@ func decomposePass1(g *graph.Graph, root graph.NodeID, opt Options) (*Decomposit
 	d.bfsFill = make([]int32, n)
 	d.bfsCnt = make([]int32, n)
 
-	return d, raws, workers, nil
+	return d, nil
 }
 
 // sortTreeEdges sorts the MST edge list ascending through the parallel
@@ -808,43 +617,16 @@ func recordPhase(g *graph.Graph, prevFragOf []FragID, oldToNew, best []int32, ac
 	return rawPhase{fragOf, memOff, memFlat, activeCopy, selEdge, selChooser}
 }
 
-// fragView is the annotation of one fragment as annotateRaw streams it:
-// the root, the level parity, and the BFS order (a view into a per-phase
-// arena, stable for the life of the decomposition).
-type fragView struct {
-	root  graph.NodeID
-	level int
-	bfs   []graph.NodeID
-}
-
-// annotate fills Root, Level and BFS for every fragment of one phase.
-// memOff are the member offsets (fragment f spans memOff[f]:memOff[f+1]
-// in both the member and BFS layouts).
-func (d *Decomposition) annotate(frags []Fragment, fragOf []FragID, memOff []int32, memFlat []graph.NodeID, workers int) {
-	err := d.annotateRaw(memOff, memFlat, fragOf, workers, func(_, fi int, v fragView) error {
-		frags[fi].Root = v.root
-		frags[fi].Level = v.level
-		frags[fi].BFS = v.bfs
-		return nil
-	})
-	if err != nil {
-		panic(err) // the visitor above never fails
-	}
-}
-
-// annotateRaw computes root, level and BFS order for every fragment of
-// one partition (flat memOff/memFlat member arrays plus the node→
-// fragment map) and hands each fragment's view to visit. Fragments are
+// annotate computes root, level and BFS order for every fragment of
+// one partition and hands each fragment to visit. Fragments are
 // processed in parallel ranges — each owns a disjoint node set, and the
-// BFS orders land in per-phase arenas sliced by the member offsets —
-// so visit must only touch state owned by its fragment (or per-worker
+// BFS orders land in per-call arenas sliced by the member offsets — so
+// visit must only touch state owned by its fragment (or per-worker
 // scratch via the worker index it receives). A visit error aborts with
 // the lowest failing fragment's error, the sequential order's outcome.
-//
-// This is the engine behind both the rich Phase records and the fused
-// streaming pass: the fused oracle consumes each view in place instead
-// of materialising Fragment structs (DESIGN.md §2.12).
-func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, fragOf []FragID, workers int, visit func(w, fi int, v fragView) error) error {
+func (d *Decomposition) annotate(phase int, raw *rawPhase, visit func(w int, f Fragment) error) error {
+	memOff, memFlat, fragOf := raw.memOff, raw.memFlat, raw.fragOf
+	workers := d.workers
 	numFrags := len(memOff) - 1
 	fragWorkers := workers
 	if numFrags < 64 {
@@ -930,7 +712,20 @@ func (d *Decomposition) annotateRaw(memOff []int32, memFlat []graph.NodeID, frag
 			o := memOff[fi]
 			bfs := d.fragmentBFS(root, nodes, fragOf,
 				bfsArena[o:o:memOff[fi+1]], kidsArena[o:memOff[fi+1]])
-			if err := visit(w, fi, fragView{root: root, level: int(depth[fi] % 2), bfs: bfs}); err != nil {
+			f := Fragment{
+				Phase:  phase,
+				ID:     FragID(fi),
+				Active: raw.active[fi],
+				Root:   root,
+				Level:  int(depth[fi] % 2),
+				BFS:    bfs,
+			}
+			if e := raw.selEdge[fi]; e != -1 {
+				ch := raw.selChooser[fi]
+				f.HasSel = true
+				f.Sel = Selection{Chooser: ch, Edge: e, Up: d.ParentEdge[ch] == e}
+			}
+			if err := visit(w, f); err != nil {
 				return fi, err
 			}
 		}

@@ -1,6 +1,8 @@
 package boruvka
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -10,11 +12,63 @@ import (
 
 func decompose(t *testing.T, g *graph.Graph, root graph.NodeID) *Decomposition {
 	t.Helper()
-	d, err := Decompose(g, root)
+	d, err := Decompose(g, root, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// phaseRecord is the partition at the start of one phase as collected
+// from the visitor: the fragments indexed by ID plus the node→fragment
+// map they imply.
+type phaseRecord struct {
+	Index     int
+	Fragments []Fragment
+	FragOf    []FragID
+}
+
+// collectPhase visits phase i and returns its record. The visit order
+// within a phase is unspecified, so the fragments are sorted by ID.
+func collectPhase(d *Decomposition, i int) (phaseRecord, error) {
+	var mu sync.Mutex
+	var frags []Fragment
+	err := d.Fragments(i, func(_ int, f Fragment) error {
+		mu.Lock()
+		frags = append(frags, f)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return phaseRecord{}, err
+	}
+	slices.SortFunc(frags, func(a, b Fragment) int { return int(a.ID) - int(b.ID) })
+	fragOf := make([]FragID, d.G.N())
+	for _, f := range frags {
+		for _, u := range f.BFS {
+			fragOf[u] = f.ID
+		}
+	}
+	return phaseRecord{Index: i, Fragments: frags, FragOf: fragOf}, nil
+}
+
+// phases collects every executed phase 1..TotalPhases; final is the
+// spanning fragment visited at TotalPhases+1.
+func phases(t *testing.T, d *Decomposition) (recs []phaseRecord, final Fragment) {
+	t.Helper()
+	for i := 1; i <= d.TotalPhases+1; i++ {
+		rec, err := collectPhase(d, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs[:d.TotalPhases], recs[d.TotalPhases].Fragments[0]
+}
+
+// members returns the fragment's nodes in ascending order.
+func members(f *Fragment) []graph.NodeID {
+	return slices.Sorted(slices.Values(f.BFS))
 }
 
 // testGraphs yields a diverse corpus: every family x sizes x weight modes.
@@ -57,7 +111,8 @@ func TestTreeMatchesKruskal(t *testing.T) {
 func TestLemma1(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		d := decompose(t, g, 0)
-		for _, ph := range d.Phases {
+		recs, _ := phases(t, d)
+		for _, ph := range recs {
 			i := ph.Index
 			actives := 0
 			for fi := range ph.Fragments {
@@ -79,8 +134,8 @@ func TestLemma1(t *testing.T) {
 			}
 		}
 		// Number of phases is at most ceil(log n) (+1 slack for the n=1 case).
-		if g.N() > 1 && d.NumPhases() > graph.CeilLog2(g.N()) {
-			t.Fatalf("graph %d: %d phases > ceil(log %d)", gi, d.NumPhases(), g.N())
+		if g.N() > 1 && d.TotalPhases > graph.CeilLog2(g.N()) {
+			t.Fatalf("graph %d: %d phases > ceil(log %d)", gi, d.TotalPhases, g.N())
 		}
 	}
 }
@@ -93,10 +148,11 @@ func TestLemma1(t *testing.T) {
 func TestLemma2GlobalOrder(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		d := decompose(t, g, 0)
-		for _, ph := range d.Phases {
+		recs, _ := phases(t, d)
+		for _, ph := range recs {
 			for fi := range ph.Fragments {
 				f := &ph.Fragments[fi]
-				if f.Sel == nil {
+				if !f.HasSel {
 					continue
 				}
 				u := f.Sel.Chooser
@@ -116,10 +172,11 @@ func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
 		for _, n := range []int{8, 31, 64} {
 			g := mustGen(fam, n, uint64(n), gen.SeededOptions{Weights: gen.WeightsDistinct})
 			d := decompose(t, g, 0)
-			for _, ph := range d.Phases {
+			recs, _ := phases(t, d)
+			for _, ph := range recs {
 				for fi := range ph.Fragments {
 					f := &ph.Fragments[fi]
-					if f.Sel == nil {
+					if !f.HasSel {
 						continue
 					}
 					u := f.Sel.Chooser
@@ -146,17 +203,22 @@ func TestLemma2LocalOrderDistinctWeights(t *testing.T) {
 func TestFragmentInvariants(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		d := decompose(t, g, 0)
-		phases := make([]Phase, len(d.Phases))
-		copy(phases, d.Phases)
-		for pi := 1; pi <= d.NumPhases()+1; pi++ {
-			frags := d.FragmentsAtStart(pi)
+		for pi := 1; pi <= d.TotalPhases+1; pi++ {
+			rec, err := collectPhase(d, pi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frags := rec.Fragments
 			seen := make(map[graph.NodeID]bool)
 			for fi := range frags {
 				f := &frags[fi]
 				if f.Size() == 0 {
 					t.Fatalf("graph %d phase %d: empty fragment", gi, pi)
 				}
-				for _, u := range f.Nodes {
+				if f.Phase != pi || int(f.ID) != fi {
+					t.Fatalf("graph %d phase %d: fragment %d visited as phase %d ID %d", gi, pi, fi, f.Phase, f.ID)
+				}
+				for _, u := range f.BFS {
 					if seen[u] {
 						t.Fatalf("graph %d phase %d: node %d in two fragments", gi, pi, u)
 					}
@@ -164,7 +226,7 @@ func TestFragmentInvariants(t *testing.T) {
 				}
 				// Root is a member whose parent edge leaves the fragment.
 				inF := make(map[graph.NodeID]bool, f.Size())
-				for _, u := range f.Nodes {
+				for _, u := range f.BFS {
 					inF[u] = true
 				}
 				if !inF[f.Root] {
@@ -175,7 +237,7 @@ func TestFragmentInvariants(t *testing.T) {
 					t.Fatalf("graph %d phase %d: root's parent is inside the fragment", gi, pi)
 				}
 				// Every non-root member's path to the root stays inside F.
-				for _, u := range f.Nodes {
+				for _, u := range f.BFS {
 					if u == f.Root {
 						continue
 					}
@@ -208,7 +270,8 @@ func TestFragmentInvariants(t *testing.T) {
 func TestLevels(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		d := decompose(t, g, 0)
-		for _, ph := range d.Phases {
+		recs, _ := phases(t, d)
+		for _, ph := range recs {
 			if ph.Fragments[ph.FragOf[d.Root]].Level != 0 {
 				t.Fatalf("graph %d phase %d: root fragment has level 1", gi, ph.Index)
 			}
@@ -238,16 +301,17 @@ func TestSelections(t *testing.T) {
 		for _, e := range d.TreeEdges {
 			inTree[e] = true
 		}
-		for _, ph := range d.Phases {
+		recs, _ := phases(t, d)
+		for _, ph := range recs {
 			for fi := range ph.Fragments {
 				f := &ph.Fragments[fi]
 				if !f.Active {
-					if f.Sel != nil {
+					if f.HasSel {
 						t.Fatalf("graph %d phase %d: passive fragment has a selection", gi, ph.Index)
 					}
 					continue
 				}
-				if f.Sel == nil {
+				if !f.HasSel {
 					if len(ph.Fragments) > 1 {
 						t.Fatalf("graph %d phase %d: active fragment without selection", gi, ph.Index)
 					}
@@ -291,12 +355,13 @@ func TestSelections(t *testing.T) {
 func TestSelPhase(t *testing.T) {
 	for gi, g := range testGraphs(t) {
 		d := decompose(t, g, 0)
+		recs, _ := phases(t, d)
 		for _, e := range d.TreeEdges {
 			i := d.SelPhase[e]
-			if i < 1 || i > d.NumPhases() {
+			if i < 1 || i > d.TotalPhases {
 				t.Fatalf("graph %d: tree edge %d has SelPhase %d", gi, e, i)
 			}
-			ph := d.Phases[i-1]
+			ph := recs[i-1]
 			rec := g.Edge(e)
 			if ph.FragOf[rec.U] == ph.FragOf[rec.V] {
 				t.Fatalf("graph %d: edge %d already internal at its selection phase", gi, e)
@@ -326,14 +391,18 @@ func TestFinalFragment(t *testing.T) {
 	g := gen.RandomConnected(40, 100, 5, gen.SeededOptions{})
 	root := graph.NodeID(13)
 	d := decompose(t, g, root)
-	if d.Final.Size() != g.N() {
-		t.Fatalf("final fragment size %d", d.Final.Size())
+	_, final := phases(t, d)
+	if final.Size() != g.N() {
+		t.Fatalf("final fragment size %d", final.Size())
 	}
-	if d.Final.Root != root || d.Final.BFS[0] != root {
+	if final.Root != root || final.BFS[0] != root {
 		t.Fatal("final fragment not rooted at the global root")
 	}
-	if d.Final.Level != 0 {
+	if final.Level != 0 {
 		t.Fatal("final fragment should be level 0")
+	}
+	if final.Phase != d.TotalPhases+1 || final.Active || final.HasSel {
+		t.Fatalf("final fragment visited as phase %d active=%v sel=%v", final.Phase, final.Active, final.HasSel)
 	}
 }
 
@@ -347,7 +416,8 @@ func TestBFSChildOrder(t *testing.T) {
 		AddEdge(0, 3, 20).
 		MustBuild()
 	d := decompose(t, g, 0)
-	bfs := d.Final.BFS
+	_, final := phases(t, d)
+	bfs := final.BFS
 	want := []graph.NodeID{0, 2, 3, 1}
 	for i := range want {
 		if bfs[i] != want[i] {
@@ -358,11 +428,11 @@ func TestBFSChildOrder(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	g := graph.NewBuilder(4).AddEdge(0, 1, 1).AddEdge(2, 3, 1).MustBuild()
-	if _, err := Decompose(g, 0); err == nil {
+	if _, err := Decompose(g, 0, Options{}); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 	g2 := graph.NewBuilder(2).AddEdge(0, 1, 1).MustBuild()
-	if _, err := Decompose(g2, 5); err == nil {
+	if _, err := Decompose(g2, 5, Options{}); err == nil {
 		t.Error("out-of-range root accepted")
 	}
 }
@@ -370,8 +440,9 @@ func TestErrors(t *testing.T) {
 func TestSingleNode(t *testing.T) {
 	g := graph.NewBuilder(1).MustBuild()
 	d := decompose(t, g, 0)
-	if d.NumPhases() != 0 || d.Final.Size() != 1 {
-		t.Fatalf("K1: phases=%d final=%d", d.NumPhases(), d.Final.Size())
+	_, final := phases(t, d)
+	if d.TotalPhases != 0 || final.Size() != 1 {
+		t.Fatalf("K1: phases=%d final=%d", d.TotalPhases, final.Size())
 	}
 	if d.ParentPort[0] != -1 {
 		t.Fatal("K1 root should have no parent")
@@ -383,14 +454,16 @@ func TestDeterminism(t *testing.T) {
 	g2 := gen.RandomConnected(30, 80, 77, gen.SeededOptions{Weights: gen.WeightsUnit})
 	d1 := decompose(t, g1, 3)
 	d2 := decompose(t, g2, 3)
-	if d1.NumPhases() != d2.NumPhases() {
+	if d1.TotalPhases != d2.TotalPhases {
 		t.Fatal("phase counts differ")
 	}
 	if !mst.SameEdges(d1.TreeEdges, d2.TreeEdges) {
 		t.Fatal("trees differ across identical runs")
 	}
-	for i := range d1.Phases {
-		f1, f2 := d1.Phases[i].Fragments, d2.Phases[i].Fragments
+	recs1, _ := phases(t, d1)
+	recs2, _ := phases(t, d2)
+	for i := range recs1 {
+		f1, f2 := recs1[i].Fragments, recs2[i].Fragments
 		if len(f1) != len(f2) {
 			t.Fatal("fragment counts differ")
 		}
@@ -406,7 +479,7 @@ func BenchmarkDecompose(b *testing.B) {
 	g := gen.RandomConnected(512, 2048, 1, gen.SeededOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(g, 0); err != nil {
+		if _, err := Decompose(g, 0, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,9 @@
 package boruvka
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
-	"sort"
-	"sync"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -12,27 +11,44 @@ import (
 )
 
 // observable projects the deterministic, exported state of a
-// decomposition (the scratch buffers legitimately differ with worker
-// scheduling; everything observable must not).
+// decomposition — its flat outputs plus every retained phase and the
+// spanning fragment as collected from the visitor (the scratch buffers
+// legitimately differ with worker scheduling; everything observable
+// must not).
 type observable struct {
 	Root        graph.NodeID
-	Phases      []Phase
+	Phases      []phaseRecord
 	TotalPhases int
-	Final       Fragment
+	Final       phaseRecord
 	TreeEdges   []graph.EdgeID
 	ParentPort  []int
 	ParentEdge  []graph.EdgeID
 	SelPhase    []int
 }
 
-func project(d *Decomposition) observable {
-	return observable{d.Root, d.Phases, d.TotalPhases, d.Final,
+// project collects the retained phases — the prefix Fragments accepts —
+// and the spanning fragment.
+func project(t *testing.T, d *Decomposition) observable {
+	t.Helper()
+	var recs []phaseRecord
+	for i := 1; i <= d.TotalPhases; i++ {
+		rec, err := collectPhase(d, i)
+		if err != nil {
+			break
+		}
+		recs = append(recs, rec)
+	}
+	final, err := collectPhase(d, d.TotalPhases+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return observable{d.Root, recs, d.TotalPhases, final,
 		d.TreeEdges, d.ParentPort, d.ParentEdge, d.SelPhase}
 }
 
 // TestDecomposeParallelDeterminism asserts the phase kernel's central
 // contract: for every registered graph family and every worker count in
-// {1,2,3,4,8,16}, DecomposeOpt produces a byte-identical Decomposition —
+// {1,2,3,4,8,16}, Decompose produces a byte-identical Decomposition —
 // with and without phase truncation and the contraction tower — and the
 // whole wall holds again under GOMAXPROCS=1, which forces every
 // goroutine onto one OS thread and so exercises completely different
@@ -57,18 +73,18 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 			for _, va := range variants {
 				opt := va.opt
 				opt.Workers = 1
-				ref, err := DecomposeOpt(g, 0, opt)
+				ref, err := Decompose(g, 0, opt)
 				if err != nil {
 					t.Fatalf("family %s %s workers=1: %v", fam, va.name, err)
 				}
-				want := project(ref)
+				want := project(t, ref)
 				for _, workers := range []int{2, 3, 4, 8, 16} {
 					opt.Workers = workers
-					d, err := DecomposeOpt(g, 0, opt)
+					d, err := Decompose(g, 0, opt)
 					if err != nil {
 						t.Fatalf("family %s %s workers=%d: %v", fam, va.name, workers, err)
 					}
-					if !reflect.DeepEqual(project(d), want) {
+					if !reflect.DeepEqual(project(t, d), want) {
 						t.Fatalf("family %s %s: decomposition differs at workers=%d", fam, va.name, workers)
 					}
 					if va.opt.KeepTower && !reflect.DeepEqual(d.Tower, ref.Tower) {
@@ -85,159 +101,112 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 	})
 }
 
-// streamRecord is one StreamVisit flattened for comparison (BFS copied
-// out of its arena).
-type streamRecord struct {
-	Phase, Frag   int
-	Final, Active bool
-	Root          graph.NodeID
-	Level         int
-	BFS           []graph.NodeID
-	HasSel        bool
-	Sel           Selection
-}
-
-// collectStream runs DecomposeStream and returns the visits sorted by
-// (phase, fragment) — the visit order within a phase is intentionally
-// unspecified — plus the flat decomposition.
-func collectStream(t *testing.T, g *graph.Graph, opt Options) ([]streamRecord, *Decomposition) {
-	t.Helper()
-	var mu sync.Mutex
-	var recs []streamRecord
-	d, err := DecomposeStream(g, 0, opt, func(_ int, v StreamVisit) error {
-		r := streamRecord{v.Phase, v.Frag, v.Final, v.Active, v.Root, v.Level,
-			append([]graph.NodeID(nil), v.BFS...), v.HasSel, v.Sel}
-		mu.Lock()
-		recs = append(recs, r)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Phase != recs[j].Phase {
-			return recs[i].Phase < recs[j].Phase
-		}
-		return recs[i].Frag < recs[j].Frag
-	})
-	return recs, d
-}
-
-// TestDecomposeStreamMatchesRich replays the streamed fragments against
-// the rich two-pass records: every phase, fragment, annotation and
-// selection must agree, for a retention budget the run outlives and for
-// one it does not (where the stream must synthesize the spanning
-// fragment), across worker counts.
-func TestDecomposeStreamMatchesRich(t *testing.T) {
-	g := gen.RandomConnected(180, 540, 42, gen.SeededOptions{})
-	full, err := Decompose(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, keep := range []int{0, 2, full.TotalPhases, full.TotalPhases + 1, full.TotalPhases + 5} {
-		for _, workers := range []int{1, 3, 8} {
-			recs, d := collectStream(t, g, Options{Workers: workers, KeepPhases: keep})
-			if d.TotalPhases != full.TotalPhases || d.NumPhases() != 0 {
-				t.Fatalf("keep=%d: stream decomposition records phases (%d) or wrong total", keep, d.NumPhases())
-			}
-			kept := keep
-			if kept <= 0 || kept > full.TotalPhases {
-				kept = full.TotalPhases
-			}
-			wantSynth := keep <= 0 || full.TotalPhases < keep
-			ri := 0
-			for pi := 1; pi <= kept; pi++ {
-				ph := &full.Phases[pi-1]
-				for fi := range ph.Fragments {
-					f := &ph.Fragments[fi]
-					if ri >= len(recs) {
-						t.Fatalf("keep=%d workers=%d: stream ended before phase %d fragment %d", keep, workers, pi, fi)
-					}
-					r := recs[ri]
-					ri++
-					wantFinal := keep > 0 && pi == keep
-					if r.Phase != pi || r.Frag != fi || r.Final != wantFinal || r.Active != f.Active ||
-						r.Root != f.Root || r.Level != f.Level || !reflect.DeepEqual(r.BFS, f.BFS) {
-						t.Fatalf("keep=%d workers=%d: phase %d fragment %d visit %+v mismatches rich record", keep, workers, pi, fi, r)
-					}
-					if r.HasSel != (f.Sel != nil) || (r.HasSel && r.Sel != *f.Sel) {
-						t.Fatalf("keep=%d workers=%d: phase %d fragment %d selection mismatch", keep, workers, pi, fi)
-					}
-				}
-			}
-			if wantSynth {
-				if ri+1 != len(recs) {
-					t.Fatalf("keep=%d workers=%d: %d trailing visits, want 1 synthesized final", keep, workers, len(recs)-ri)
-				}
-				r := recs[ri]
-				if r.Phase != full.TotalPhases+1 || !r.Final || r.HasSel ||
-					r.Root != full.Final.Root || r.Level != full.Final.Level ||
-					!reflect.DeepEqual(r.BFS, full.Final.BFS) {
-					t.Fatalf("keep=%d workers=%d: synthesized final visit %+v mismatches rich Final", keep, workers, r)
-				}
-			} else if ri != len(recs) {
-				t.Fatalf("keep=%d workers=%d: %d unexpected trailing visits", keep, workers, len(recs)-ri)
-			}
-		}
-	}
-}
-
-// TestDecomposeKeepPhases asserts that KeepPhases records exactly a
-// prefix of the full phase list and leaves every whole-run output
-// untouched.
+// TestDecomposeKeepPhases asserts that KeepPhases retains exactly a
+// prefix of the full phase list — every retained phase visits the same
+// fragments as the full run, every later phase is refused with an error
+// — and leaves every whole-run output and the spanning fragment
+// untouched, including when KeepPhases exceeds TotalPhases and the
+// spanning fragment is synthesised without any retained record, across
+// worker counts.
 func TestDecomposeKeepPhases(t *testing.T) {
-	g := gen.RandomConnected(120, 360, 7, gen.SeededOptions{})
-	full, err := Decompose(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for keep := 1; keep <= full.TotalPhases+1; keep++ {
-		d, err := DecomposeOpt(g, 3, Options{KeepPhases: keep})
+	for _, tc := range []struct {
+		g    *graph.Graph
+		root graph.NodeID
+	}{
+		{gen.RandomConnected(120, 360, 7, gen.SeededOptions{}), 3},
+		{gen.RandomConnected(180, 540, 42, gen.SeededOptions{}), 0},
+	} {
+		g, root := tc.g, tc.root
+		full, err := Decompose(g, root, Options{})
 		if err != nil {
-			t.Fatalf("keep=%d: %v", keep, err)
+			t.Fatal(err)
 		}
-		wantLen := keep
-		if wantLen > full.TotalPhases {
-			wantLen = full.TotalPhases
-		}
-		if d.KeptPhases() != wantLen {
-			t.Fatalf("keep=%d: KeptPhases() = %d, want %d", keep, d.KeptPhases(), wantLen)
-		}
-		if d.TotalPhases != full.TotalPhases {
-			t.Fatalf("keep=%d: TotalPhases %d, want %d", keep, d.TotalPhases, full.TotalPhases)
-		}
-		if !reflect.DeepEqual(d.Phases, full.Phases[:d.KeptPhases()]) {
-			t.Fatalf("keep=%d: recorded phases differ from the full prefix", keep)
-		}
-		if !reflect.DeepEqual(d.TreeEdges, full.TreeEdges) ||
-			!reflect.DeepEqual(d.ParentPort, full.ParentPort) ||
-			!reflect.DeepEqual(d.Final, full.Final) ||
-			!reflect.DeepEqual(d.SelPhase, full.SelPhase) {
-			t.Fatalf("keep=%d: whole-run outputs differ", keep)
+		want := project(t, full)
+		for keep := 0; keep <= full.TotalPhases+5; keep++ {
+			for _, workers := range []int{1, 3, 8} {
+				d, err := Decompose(g, root, Options{Workers: workers, KeepPhases: keep})
+				if err != nil {
+					t.Fatalf("keep=%d workers=%d: %v", keep, workers, err)
+				}
+				kept := full.TotalPhases
+				if keep > 0 {
+					kept = min(keep, full.TotalPhases)
+				}
+				got := project(t, d)
+				if len(got.Phases) != kept {
+					t.Fatalf("keep=%d workers=%d: %d phases retained, want %d", keep, workers, len(got.Phases), kept)
+				}
+				if !reflect.DeepEqual(got.Phases, want.Phases[:kept]) {
+					t.Fatalf("keep=%d workers=%d: retained phases differ from the full prefix", keep, workers)
+				}
+				for i := kept + 1; i <= full.TotalPhases; i++ {
+					if err := d.Fragments(i, func(int, Fragment) error { return nil }); err == nil {
+						t.Fatalf("keep=%d workers=%d: phase %d visited past the retained prefix", keep, workers, i)
+					}
+				}
+				if !reflect.DeepEqual(got.Final, want.Final) {
+					t.Fatalf("keep=%d workers=%d: spanning fragment differs", keep, workers)
+				}
+				if d.TotalPhases != full.TotalPhases ||
+					!reflect.DeepEqual(d.TreeEdges, full.TreeEdges) ||
+					!reflect.DeepEqual(d.ParentPort, full.ParentPort) ||
+					!reflect.DeepEqual(d.ParentEdge, full.ParentEdge) ||
+					!reflect.DeepEqual(d.SelPhase, full.SelPhase) {
+					t.Fatalf("keep=%d workers=%d: whole-run outputs differ", keep, workers)
+				}
+			}
 		}
 	}
 }
 
-// TestFragmentsAtStartTruncated pins the truncation semantics: the final
-// fragment is reachable through FragmentsAtStart only when the record is
-// complete.
-func TestFragmentsAtStartTruncated(t *testing.T) {
+// TestFragmentsNotRetained pins the truncation semantics: a phase
+// outside the retained prefix (other than the spanning fragment at
+// TotalPhases+1) is an error, never a panic or a silent empty visit.
+func TestFragmentsNotRetained(t *testing.T) {
 	g := gen.RandomConnected(64, 128, 8, gen.SeededOptions{})
-	d, err := DecomposeOpt(g, 0, Options{KeepPhases: 1})
+	d, err := Decompose(g, 0, Options{KeepPhases: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.TotalPhases <= 2 {
 		t.Skipf("graph merged in %d phases; need > 2 for the truncation case", d.TotalPhases)
 	}
-	if got := d.FragmentsAtStart(1); len(got) != g.N() {
-		t.Fatalf("phase 1 has %d fragments, want %d singletons", len(got), g.N())
+	rec, err := collectPhase(d, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FragmentsAtStart past a truncated record should panic")
+	if len(rec.Fragments) != g.N() {
+		t.Fatalf("phase 1 has %d fragments, want %d singletons", len(rec.Fragments), g.N())
+	}
+	for _, i := range []int{-1, 0, 2, d.TotalPhases, d.TotalPhases + 2} {
+		visited := false
+		err := d.Fragments(i, func(int, Fragment) error { visited = true; return nil })
+		if err == nil || visited {
+			t.Fatalf("phase %d: err=%v visited=%v, want an error and no visit", i, err, visited)
 		}
-	}()
-	d.FragmentsAtStart(2)
+	}
+	if _, err := collectPhase(d, d.TotalPhases+1); err != nil {
+		t.Fatalf("spanning fragment: %v", err)
+	}
+}
+
+// TestFragmentsVisitError asserts that a visit error aborts the call
+// with the lowest failing fragment's error at any worker count.
+func TestFragmentsVisitError(t *testing.T) {
+	g := gen.RandomConnected(300, 900, 9, gen.SeededOptions{})
+	for _, workers := range []int{1, 2, 8} {
+		d, err := Decompose(g, 0, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.Fragments(1, func(_ int, f Fragment) error {
+			if f.ID%100 == 7 {
+				return fmt.Errorf("fragment %d", f.ID)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fragment 7" {
+			t.Fatalf("workers=%d: got %v, want the lowest failure (fragment 7)", workers, err)
+		}
+	}
 }

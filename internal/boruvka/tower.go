@@ -9,10 +9,10 @@ import (
 // Tower is the contraction tower of a decomposition run: one TowerLevel
 // per executed contraction, i.e. per phase after the first. Level ℓ
 // (1-based) describes the contracted multigraph at the START of phase
-// ℓ+1, exactly the state FragmentsAtStart(ℓ+1) partitions at the node
-// level; level 0 — every node a singleton fragment — is implicit. The
+// ℓ+1, exactly the partition Decomposition.Fragments(ℓ+1) annotates at
+// the node level; level 0 — every node a singleton fragment — is implicit. The
 // tower is what the paper's §2.2 simulation computes and the flat
-// Theorem 3 codec throws away: DecomposeOpt captures it only under
+// Theorem 3 codec throws away: Decompose captures it only under
 // Options.KeepTower, as plain copies taken after each contraction, so
 // the flat path's outputs (and therefore the flat advice bytes) are
 // untouched. See DESIGN.md §2.9.
@@ -25,7 +25,7 @@ type Tower struct {
 
 // TowerLevel is one contracted graph of the tower. Fragment IDs are
 // dense and ordered by smallest original member node, matching the
-// Fragment order of FragmentsAtStart(Phase).
+// Fragment IDs that Decomposition.Fragments(Phase) visits.
 type TowerLevel struct {
 	// Phase is the 1-based phase whose start this level describes (≥ 2).
 	Phase int

@@ -13,15 +13,15 @@ import (
 // byte-identical Theorem 3 advice) to a run without it.
 func TestKeepTowerDoesNotPerturbFlatPath(t *testing.T) {
 	g := gen.RandomConnected(200, 700, 11, gen.SeededOptions{})
-	flat, err := Decompose(g, 5)
+	flat, err := Decompose(g, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := DecomposeOpt(g, 5, Options{KeepTower: true})
+	with, err := Decompose(g, 5, Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(project(flat), project(with)) {
+	if !reflect.DeepEqual(project(t, flat), project(t, with)) {
 		t.Fatal("KeepTower perturbed the flat outputs")
 	}
 	if with.Tower == nil {
@@ -37,7 +37,7 @@ func TestKeepTowerDoesNotPerturbFlatPath(t *testing.T) {
 // maps), representatives, sizes, and the relabelled edge list.
 func TestTowerConsistency(t *testing.T) {
 	g := gen.RandomConnected(150, 500, 12, gen.SeededOptions{})
-	d, err := DecomposeOpt(g, 0, Options{KeepTower: true})
+	d, err := Decompose(g, 0, Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +50,25 @@ func TestTowerConsistency(t *testing.T) {
 		if lev.Phase != l+1 {
 			t.Fatalf("level %d has Phase %d, want %d", l, lev.Phase, l+1)
 		}
-		frags := d.FragmentsAtStart(lev.Phase)
+		rec, err := collectPhase(d, lev.Phase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags := rec.Fragments
 		if lev.NumFrags != len(frags) {
 			t.Fatalf("level %d: NumFrags %d, want %d", l, lev.NumFrags, len(frags))
 		}
 		fragOf := tw.FragOf(l)
 		for fi := range frags {
 			f := &frags[fi]
-			if int32(f.Nodes[0]) != lev.Rep[fi] {
-				t.Fatalf("level %d frag %d: Rep %d, want smallest member %d", l, fi, lev.Rep[fi], f.Nodes[0])
+			nodes := members(f)
+			if int32(nodes[0]) != lev.Rep[fi] {
+				t.Fatalf("level %d frag %d: Rep %d, want smallest member %d", l, fi, lev.Rep[fi], nodes[0])
 			}
 			if int(lev.Size[fi]) != f.Size() {
 				t.Fatalf("level %d frag %d: Size %d, want %d", l, fi, lev.Size[fi], f.Size())
 			}
-			for _, u := range f.Nodes {
+			for _, u := range nodes {
 				if fragOf[u] != int32(fi) {
 					t.Fatalf("level %d: FragOf(%d) = %d, want %d", l, u, fragOf[u], fi)
 				}
@@ -99,7 +104,7 @@ func TestTowerConsistency(t *testing.T) {
 		}
 	}
 	// KeepPhases must not truncate the tower.
-	trunc, err := DecomposeOpt(g, 0, Options{KeepTower: true, KeepPhases: 1})
+	trunc, err := Decompose(g, 0, Options{KeepTower: true, KeepPhases: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,17 +6,19 @@ import (
 	"mstadvice/internal/graph"
 )
 
-// buildFused is the default encoder: it drives the decomposition's
-// streaming pass 2 (boruvka.Stream) and packs each annotated fragment
-// into the advice arenas the moment it is visited, so no Phase or
-// Fragment record is ever materialised. Fragments of one phase write
-// disjoint node sets and phases are separated by barriers, so the
-// arenas fill in exactly the reference order; per-worker scratch
-// strings keep the visits allocation-free. Byte-identity with the
-// reference path is pinned by TestFusedMatchesReference. See DESIGN.md
-// §2.12.
+// buildFused is the default encoder: it runs the decomposition's pass 1
+// once, then visits phases 1..P and the final-stage partition through
+// Decomposition.Fragments, packing each annotated fragment into the
+// advice arenas the moment it is visited, so no per-phase fragment
+// record is ever materialised. Fragments of one phase write disjoint
+// node sets and phases are separated by barriers, so the arenas fill in
+// exactly the reference order; per-worker scratch strings keep the
+// visits allocation-free. Byte-identity with the reference path is
+// pinned by TestFusedMatchesReference. See DESIGN.md §2.12.
 func (b *adviceBuilder) buildFused(root graph.NodeID) error {
-	s, err := boruvka.NewStream(b.g, root, boruvka.Options{
+	// The packing reads phases 1..P and the partition at the start of
+	// phase P+1 (the spanning fragment when the run ends sooner).
+	d, err := boruvka.Decompose(b.g, root, boruvka.Options{
 		Workers:    b.workers,
 		KeepPhases: b.sched.P + 1,
 	})
@@ -25,52 +27,54 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 	}
 	// The flat Decomposition is complete before any visit runs, so the
 	// final-stage visits may read Root/ParentPort through b.d.
-	b.d = s.D
+	b.d = d
+	finalPhase := min(b.sched.P+1, d.TotalPhases+1)
 	scratch := make([]*bitstring.BitString, b.workers)
 	for w := range scratch {
 		scratch[w] = bitstring.New(b.sched.P + 2)
 	}
-	// Final-stage fragments stream in schedule order, so their records
-	// collect per worker and scatter into b.frags by fragment index — the
-	// reference layout — once the stream completes.
+	for i := 1; i < finalPhase; i++ {
+		err := d.Fragments(i, func(w int, f boruvka.Fragment) error {
+			if !f.HasSel {
+				return nil
+			}
+			return b.packBits(i, f.BFS, f.Sel.Chooser, f.Sel.Up, f.Level == 1, scratch[w])
+		})
+		if err != nil {
+			return err
+		}
+	}
+	// Final-stage fragments are visited in schedule order, so their
+	// records collect per worker and scatter into b.frags by fragment
+	// index — the reference layout — once the visit completes.
 	type finalRec struct {
-		fi   int
+		fi   boruvka.FragID
 		frag FinalFragment
 	}
 	finals := make([][]finalRec, b.workers)
 	width := b.sched.Width
-	err = s.Run(func(w int, v boruvka.StreamVisit) error {
-		if v.Final {
-			value, port, err := b.finalString(v.Root, len(v.BFS))
-			if err != nil {
-				return err
-			}
-			for k := 0; k < width; k++ {
-				b.final[v.BFS[k]] = value>>uint(k)&1 == 1
-			}
-			finals[w] = append(finals[w], finalRec{v.Frag, FinalFragment{
-				Root:       v.Root,
-				ParentPort: port,
-				Carriers:   v.BFS[:width:width],
-				Value:      value,
-			}})
-			return nil
+	err = d.Fragments(finalPhase, func(w int, f boruvka.Fragment) error {
+		value, port, err := b.finalString(f.Root, f.Size())
+		if err != nil {
+			return err
 		}
-		if !v.HasSel {
-			return nil
+		for k := 0; k < width; k++ {
+			b.final[f.BFS[k]] = value>>uint(k)&1 == 1
 		}
-		return b.packBits(v.Phase, v.BFS, v.Sel.Chooser, v.Sel.Up, v.Level == 1, scratch[w])
+		finals[w] = append(finals[w], finalRec{f.ID, FinalFragment{
+			Root:       f.Root,
+			ParentPort: port,
+			Carriers:   f.BFS[:width:width],
+			Value:      value,
+		}})
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	nf := 0
 	for _, recs := range finals {
-		for _, r := range recs {
-			if r.fi+1 > nf {
-				nf = r.fi + 1
-			}
-		}
+		nf += len(recs)
 	}
 	b.frags = make([]FinalFragment, nf)
 	for _, recs := range finals {

@@ -282,32 +282,33 @@ func E6Decomposition(c Config) []*report.Table {
 	for _, fam := range c.families() {
 		for _, n := range c.sizes() {
 			g := c.graph(fam, n, 11*int64(n), gen.SeededOptions{})
-			d, err := boruvka.Decompose(g, 0)
+			// One worker: the visitor below folds into shared maxima.
+			d, err := boruvka.Decompose(g, 0, boruvka.Options{Workers: 1})
 			if err != nil {
 				panic(err)
 			}
 			worstFrac := 0.0
-			sizeOK := true
 			maxRankFrac := 0.0
-			for _, ph := range d.Phases {
-				for fi := range ph.Fragments {
-					f := &ph.Fragments[fi]
+			for i := 1; i <= d.TotalPhases; i++ {
+				err := d.Fragments(i, func(_ int, f boruvka.Fragment) error {
 					if f.Active {
-						frac := float64(f.Size()) / float64(int(1)<<uint(ph.Index))
-						if frac > worstFrac {
-							worstFrac = frac
-						}
+						frac := float64(f.Size()) / float64(int(1)<<uint(i))
+						worstFrac = max(worstFrac, frac)
 						if frac >= 1 {
-							sizeOK = false
+							return fmt.Errorf("Lemma 1 violated: active fragment %d has |F| = %d ≥ 2^%d", f.ID, f.Size(), i)
 						}
 					}
-					if f.Sel != nil {
+					if f.HasSel {
 						rank := g.GlobalRankAt(f.Sel.Chooser, g.PortAt(f.Sel.Edge, f.Sel.Chooser))
-						frac := float64(rank+1) / float64(f.Size())
-						if frac > maxRankFrac {
-							maxRankFrac = frac
+						maxRankFrac = max(maxRankFrac, float64(rank+1)/float64(f.Size()))
+						if rank+1 > f.Size() {
+							return fmt.Errorf("Lemma 2 violated: fragment %d selected an edge of rank %d > |F| = %d", f.ID, rank+1, f.Size())
 						}
 					}
+					return nil
+				})
+				if err != nil {
+					panic(fmt.Sprintf("experiments: E6 %s n=%d phase %d: %v", fam, g.N(), i, err))
 				}
 			}
 			assignment, err := core.BuildAdvice(g, 0, core.DefaultCap)
@@ -320,13 +321,12 @@ func E6Decomposition(c Config) []*report.Table {
 					maxPacked = a.Len() - 1
 				}
 			}
-			_ = sizeOK
-			t.Add(fam, g.N(), d.NumPhases(), graph.CeilLog2(g.N()),
+			t.Add(fam, g.N(), d.TotalPhases, graph.CeilLog2(g.N()),
 				fmt.Sprintf("%.2f", worstFrac), fmt.Sprintf("%.2f", maxRankFrac),
 				maxPacked, core.DefaultCap)
 		}
 	}
-	t.Note = "both ratio columns must stay < 1.00 / ≤ 1.00: active |F| < 2^i (Lemma 1), selected-edge rank ≤ |F| (Lemma 2)"
+	t.Note = "both ratio columns stay < 1.00 / ≤ 1.00 (checked; a violation panics): active |F| < 2^i (Lemma 1), selected-edge rank ≤ |F| (Lemma 2)"
 	return []*report.Table{t}
 }
 
@@ -374,34 +374,39 @@ func E9PhaseDynamics(c Config) []*report.Table {
 	for _, fam := range c.families() {
 		n := c.sizes()[len(c.sizes())-1]
 		g := c.graph(fam, n, 17*int64(n), gen.SeededOptions{})
-		d, err := boruvka.Decompose(g, 0)
+		// One worker: the visitor below folds into shared counters.
+		d, err := boruvka.Decompose(g, 0, boruvka.Options{Workers: 1})
 		if err != nil {
 			panic(err)
 		}
 		t := report.New(fmt.Sprintf("E9  decomposition dynamics on %s (n=%d)", fam, g.N()),
 			"phase i", "fragments", "bound n/2^(i-1)", "active", "min |F|", "max |F|", "edges selected")
-		for _, ph := range d.Phases {
+		for i := 1; i <= d.TotalPhases; i++ {
+			frags, active := 0, 0
 			minSize, maxSize := g.N(), 0
-			selected := 0
-			for fi := range ph.Fragments {
-				f := &ph.Fragments[fi]
-				if f.Size() < minSize {
-					minSize = f.Size()
+			err := d.Fragments(i, func(_ int, f boruvka.Fragment) error {
+				frags++
+				if f.Active {
+					active++
 				}
-				if f.Size() > maxSize {
-					maxSize = f.Size()
-				}
+				minSize = min(minSize, f.Size())
+				maxSize = max(maxSize, f.Size())
+				return nil
+			})
+			if err != nil {
+				panic(err)
 			}
+			selected := 0
 			for _, e := range d.TreeEdges {
-				if d.SelPhase[e] == ph.Index {
+				if d.SelPhase[e] == i {
 					selected++
 				}
 			}
 			bound := g.N()
-			if ph.Index > 1 {
-				bound = g.N() / (1 << uint(ph.Index-1))
+			if i > 1 {
+				bound = g.N() / (1 << uint(i-1))
 			}
-			t.Add(ph.Index, len(ph.Fragments), bound, ph.ActiveCount(), minSize, maxSize, selected)
+			t.Add(i, frags, bound, active, minSize, maxSize, selected)
 		}
 		t.Note = "fragment counts at most n/2^(i-1) (Lemma 1); selected edges sum to n-1"
 		tables = append(tables, t)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -92,6 +94,60 @@ func TestE4WithinSchedule(t *testing.T) {
 		}
 		if row[len(row)-1] != "yes" {
 			t.Fatalf("E4 row not verified: %v", row)
+		}
+	}
+}
+
+// TestE6E9Lemmas reads the decomposition tables back: E6's ratio
+// columns stay inside Lemma 1 (active |F| < 2^i) and Lemma 2 (selected
+// rank ≤ |F|) with at most ⌈log n⌉ phases, and every E9 phase has at
+// most n/2^(i-1) fragments while the selected edges sum to n−1.
+func TestE6E9Lemmas(t *testing.T) {
+	e6 := E6Decomposition(quick)[0]
+	if len(e6.Rows) != len(quick.Families)*len(quick.Sizes) {
+		t.Fatalf("E6 has %d rows, want one per (family, n)", len(e6.Rows))
+	}
+	for _, row := range e6.Rows {
+		var phases, logN int
+		sscan(row[2], &phases)
+		sscan(row[3], &logN)
+		if phases > logN {
+			t.Fatalf("E6 %v: %d phases > ⌈log n⌉ = %d", row, phases, logN)
+		}
+		sizeFrac, err := strconv.ParseFloat(row[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rankFrac, err := strconv.ParseFloat(row[5], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sizeFrac >= 1 || rankFrac > 1 || sizeFrac <= 0 || rankFrac <= 0 {
+			t.Fatalf("E6 %v: ratio columns %.2f / %.2f outside (0, 1) / (0, 1]", row, sizeFrac, rankFrac)
+		}
+	}
+	e9 := E9PhaseDynamics(quick)
+	if len(e9) != len(quick.Families) {
+		t.Fatalf("E9 has %d tables, want one per family", len(e9))
+	}
+	for _, tab := range e9 {
+		var n int
+		if _, err := fmt.Sscanf(tab.Title[strings.Index(tab.Title, "(n="):], "(n=%d)", &n); err != nil {
+			t.Fatalf("E9 title %q: %v", tab.Title, err)
+		}
+		selected := 0
+		for _, row := range tab.Rows {
+			var frags, bound, sel int
+			sscan(row[1], &frags)
+			sscan(row[2], &bound)
+			sscan(row[6], &sel)
+			if frags > bound {
+				t.Fatalf("%s: phase %s has %d fragments > n/2^(i-1) = %d", tab.Title, row[0], frags, bound)
+			}
+			selected += sel
+		}
+		if selected != n-1 {
+			t.Fatalf("%s: selected edges sum to %d, want n-1 = %d", tab.Title, selected, n-1)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func HierBench(c Config) []BenchResult {
 func hierRows(c Config, fam string, n int) []BenchResult {
 	g := c.graph(fam, n, int64(n)*31+13, gen.SeededOptions{})
 	root := graph.NodeID(0)
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
+	d, err := boruvka.Decompose(g, root, boruvka.Options{KeepTower: true})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 	}
@@ -124,7 +124,7 @@ func hierRows(c Config, fam string, n int) []BenchResult {
 	}
 
 	for _, tier := range tiers {
-		adv, err := hier.Encode(d, tier.Level, 0)
+		adv, err := hier.Encode(d, tier.Level)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: hier bench %s/%d: %v", fam, n, err))
 		}
@@ -179,7 +179,7 @@ type hierDecodeResult struct {
 }
 
 func hierDecode(g *graph.Graph, d *boruvka.Decomposition, root graph.NodeID, level int) hierDecodeResult {
-	adv, err := hier.Encode(d, level, 0)
+	adv, err := hier.Encode(d, level)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: hier decode l%d: %v", level, err))
 	}

@@ -47,7 +47,6 @@ import (
 	"mstadvice/internal/bitstring"
 	"mstadvice/internal/boruvka"
 	"mstadvice/internal/graph"
-	"mstadvice/internal/par"
 	"mstadvice/internal/sim"
 )
 
@@ -75,25 +74,28 @@ func (s Scheme) Advise(g *graph.Graph, root graph.NodeID) ([]*bitstring.BitStrin
 }
 
 // AdviseWorkers is Advise on a worker pool; the output is
-// byte-identical for any worker count (fragments are assigned to
-// workers in disjoint index ranges and nodes belong to one fragment).
+// byte-identical for any worker count (fragments are visited by workers
+// in disjoint index ranges and nodes belong to one fragment).
 func (s Scheme) AdviseWorkers(g *graph.Graph, root graph.NodeID, workers int) ([]*bitstring.BitString, error) {
 	n := g.N()
 	if n < 2 {
 		return nil, nil
 	}
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: workers, KeepPhases: s.level() + 1})
+	d, err := boruvka.Decompose(g, root, boruvka.Options{Workers: workers, KeepPhases: s.level() + 1})
 	if err != nil {
 		return nil, err
 	}
-	return Encode(d, s.level(), workers)
+	return Encode(d, s.level())
 }
 
 // Encode assigns the level-L hierarchical advice from an existing
-// decomposition (which must have recorded at least min(level,
-// TotalPhases) phases). Levels beyond the last contraction clamp to
-// the final single fragment.
-func Encode(d *boruvka.Decomposition, level, workers int) ([]*bitstring.BitString, error) {
+// decomposition by visiting the partition at the start of phase
+// min(level, TotalPhases)+1: levels beyond the last contraction clamp to
+// the final single fragment, which needs no retained phase; otherwise
+// the decomposition must have retained phase level+1 (KeepPhases 0 or
+// ≥ level+1), and a decomposition that did not is an error. Fragments
+// are encoded on the decomposition's worker pool.
+func Encode(d *boruvka.Decomposition, level int) ([]*bitstring.BitString, error) {
 	g := d.G
 	n := g.N()
 	if n < 2 {
@@ -105,17 +107,10 @@ func Encode(d *boruvka.Decomposition, level, workers int) ([]*bitstring.BitStrin
 	if level > d.TotalPhases {
 		level = d.TotalPhases
 	}
-	frags := d.FragmentsAtStart(level + 1)
 	width := graph.CeilLog2(n)
 	out := make([]*bitstring.BitString, n)
-	workers = par.Workers(workers)
-	err := par.FirstFailure(workers, len(frags), func(_, lo, hi int) (int, error) {
-		for fi := lo; fi < hi; fi++ {
-			if err := assignFragment(g, d, &frags[fi], width, out); err != nil {
-				return fi, err
-			}
-		}
-		return -1, nil
+	err := d.Fragments(level+1, func(_ int, f boruvka.Fragment) error {
+		return assignFragment(g, d, &f, width, out)
 	})
 	if err != nil {
 		return nil, err

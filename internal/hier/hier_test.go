@@ -1,6 +1,8 @@
 package hier_test
 
 import (
+	"sort"
+	"sync"
 	"testing"
 
 	"mstadvice/internal/advice"
@@ -132,13 +134,13 @@ func TestHierSchemeRouting(t *testing.T) {
 // level), and the estimate used by the planner upper-bounds the truth.
 func TestHierBitsFall(t *testing.T) {
 	g := gen.RandomConnected(500, 1500, 24, gen.SeededOptions{})
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
+	d, err := boruvka.Decompose(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := -1
 	for level := 1; level <= d.Tower.NumLevels(); level++ {
-		adv, err := hier.Encode(d, level, 0)
+		adv, err := hier.Encode(d, level)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +162,7 @@ func TestHierBitsFall(t *testing.T) {
 // coarsest when nothing (or no budget) fits.
 func TestPlanLevel(t *testing.T) {
 	g := gen.RandomConnected(400, 1200, 25, gen.SeededOptions{})
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
+	d, err := boruvka.Decompose(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestHierTinyGraphs(t *testing.T) {
 func TestHierAdviceSelfDescribing(t *testing.T) {
 	g := gen.RandomConnected(200, 600, 27, gen.SeededOptions{})
 	level := 2
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{})
+	d, err := boruvka.Decompose(g, 0, boruvka.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +220,9 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 		t.Fatal(err)
 	}
 	width := graph.CeilLog2(g.N())
-	frags := d.FragmentsAtStart(level + 1)
-	for _, f := range frags {
+	for _, f := range fragmentsAt(t, d, level+1) {
 		carriers := 0
-		for _, u := range f.Nodes {
+		for _, u := range f.BFS {
 			r := bitstring.NewReader(adv[u])
 			isRoot := r.ReadBit()
 			if isRoot != (u == f.Root) {
@@ -239,6 +240,50 @@ func TestHierAdviceSelfDescribing(t *testing.T) {
 			t.Fatalf("fragment %d: %d carrier bits, want exactly %d", f.ID, carriers, width)
 		}
 	}
+}
+
+// TestEncodeUnretainedPhase is the regression for a decomposition that
+// retained fewer phases than the level needs: Encode at level 2 reads
+// phase 3, which KeepPhases: 2 did not retain, and must report that as
+// an error instead of panicking.
+func TestEncodeUnretainedPhase(t *testing.T) {
+	g := gen.RandomConnected(256, 768, 7, gen.SeededOptions{})
+	d, err := boruvka.Decompose(g, 0, boruvka.Options{KeepPhases: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.TotalPhases < 3 {
+		t.Fatalf("graph merged in %d phases; the case needs phase 3 to exist", d.TotalPhases)
+	}
+	if adv, err := hier.Encode(d, 2); err == nil {
+		t.Fatalf("Encode at level 2 on a 2-phase record returned %d strings, want an error", len(adv))
+	}
+	// The same decomposition serves level 1 (phase 2 is retained) and
+	// the coarsest clamp (the spanning fragment needs no record).
+	for _, level := range []int{1, d.TotalPhases + 3} {
+		if _, err := hier.Encode(d, level); err != nil {
+			t.Fatalf("level %d: %v", level, err)
+		}
+	}
+}
+
+// fragmentsAt collects the fragments the decomposition visits at phase
+// i, ordered by ID.
+func fragmentsAt(t *testing.T, d *boruvka.Decomposition, i int) []boruvka.Fragment {
+	t.Helper()
+	var mu sync.Mutex
+	var frags []boruvka.Fragment
+	err := d.Fragments(i, func(_ int, f boruvka.Fragment) error {
+		mu.Lock()
+		frags = append(frags, f)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(frags, func(a, b int) bool { return frags[a].ID < frags[b].ID })
+	return frags
 }
 
 // mustGen builds an instance of a generator family; the arguments are

@@ -49,7 +49,9 @@ func BuildTiers(g *graph.Graph, root graph.NodeID, opt HierOptions) ([]store.Tie
 	if g.N() < 2 {
 		return nil, nil
 	}
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{Workers: opt.Workers, KeepTower: true})
+	// The tiers read only the tower, so no phase beyond the first (the
+	// least Options.KeepPhases can retain) is kept and none is annotated.
+	d, err := boruvka.Decompose(g, root, boruvka.Options{Workers: opt.Workers, KeepPhases: 1, KeepTower: true})
 	if err != nil {
 		return nil, err
 	}

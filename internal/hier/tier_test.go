@@ -18,7 +18,7 @@ import (
 func TestBuildTiersCoarseMST(t *testing.T) {
 	g := gen.RandomConnected(300, 900, 31, gen.SeededOptions{})
 	root := graph.NodeID(7)
-	d, err := boruvka.DecomposeOpt(g, root, boruvka.Options{KeepTower: true})
+	d, err := boruvka.Decompose(g, root, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +50,12 @@ func TestBuildTiersCoarseMST(t *testing.T) {
 		}
 
 		want := map[graph.EdgeID]bool{}
-		for _, f := range d.FragmentsAtStart(tier.Level + 1) {
+		for _, f := range fragmentsAt(t, d, tier.Level+1) {
 			if f.Root != d.Root {
 				want[g.HalfAt(f.Root, d.ParentPort[f.Root]).Edge] = true
 			}
 		}
-		cd, err := boruvka.DecomposeOpt(tier.Graph, tier.Root, boruvka.Options{})
+		cd, err := boruvka.Decompose(tier.Graph, tier.Root, boruvka.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestBuildTiersWorkerDeterminism(t *testing.T) {
 // out-of-range explicit levels.
 func TestBuildTiersPlanned(t *testing.T) {
 	g := gen.RandomConnected(200, 500, 34, gen.SeededOptions{})
-	d, err := boruvka.DecomposeOpt(g, 0, boruvka.Options{KeepTower: true})
+	d, err := boruvka.Decompose(g, 0, boruvka.Options{KeepTower: true})
 	if err != nil {
 		t.Fatal(err)
 	}

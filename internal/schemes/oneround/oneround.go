@@ -50,23 +50,25 @@ func (Scheme) Name() string { return "oneround" }
 
 // Advise implements advice.Scheme.
 func (Scheme) Advise(g *graph.Graph, root graph.NodeID) ([]*bitstring.BitString, error) {
-	d, err := boruvka.Decompose(g, root)
+	d, err := boruvka.Decompose(g, root, boruvka.Options{})
 	if err != nil {
 		return nil, err
 	}
+	// Fragments of one phase are visited concurrently, but each node
+	// chooses for at most one fragment per phase and phases are visited
+	// in order, so every chooser's chunks append in phase order.
 	chunks := make([][]*bitstring.BitString, g.N())
-	for _, ph := range d.Phases {
-		for fi := range ph.Fragments {
-			f := &ph.Fragments[fi]
-			if f.Sel == nil {
-				continue
+	for i := 1; i <= d.TotalPhases; i++ {
+		err := d.Fragments(i, func(_ int, f boruvka.Fragment) error {
+			if !f.HasSel {
+				return nil
 			}
 			u := f.Sel.Chooser
 			port := g.PortAt(f.Sel.Edge, u)
 			rank := g.LocalRank(u, port)
 			// Natural width is the phase index; widen if ties push the rank
 			// past 2^i - 1 (cannot happen with node-distinct weights).
-			w := ph.Index
+			w := i
 			if need := bitstring.WidthFor(uint64(rank)); need > w {
 				w = need
 			}
@@ -74,6 +76,10 @@ func (Scheme) Advise(g *graph.Graph, root graph.NodeID) ([]*bitstring.BitString,
 			chunk.AppendUint(uint64(rank), w)
 			chunk.AppendBit(f.Sel.Up)
 			chunks[u] = append(chunks[u], chunk)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	out := make([]*bitstring.BitString, g.N())

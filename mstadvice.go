@@ -269,24 +269,25 @@ type Schedule = core.Schedule
 func NewSchedule(n, cap int) Schedule { return core.NewSchedule(n, cap) }
 
 // Decomposition is the deterministic Borůvka decomposition of §2.2
-// (Lemmas 1–2): the per-phase fragment structure the oracle encodes and
-// the decoder replays.
+// (Lemmas 1–2): the MST with its rooting and selection phases, plus the
+// retained per-phase partitions whose annotated fragments (root, level,
+// BFS order, selection) Decomposition.Fragments hands to a visitor one
+// phase at a time — the structure the oracles encode and the decoders
+// replay.
 type Decomposition = boruvka.Decomposition
 
-// BoruvkaOptions tune Decompose (parallel worker count).
+// BoruvkaOptions tune Decompose: worker count, phase retention and the
+// contraction tower.
 type BoruvkaOptions = boruvka.Options
 
 // Decompose runs the deterministic Borůvka decomposition of g rooted at
-// root.
-func Decompose(g *Graph, root NodeID) (*Decomposition, error) { return boruvka.Decompose(g, root) }
-
-// DecomposeOpt is Decompose with explicit options.
-func DecomposeOpt(g *Graph, root NodeID, opt BoruvkaOptions) (*Decomposition, error) {
-	return boruvka.DecomposeOpt(g, root, opt)
+// root; the result is byte-identical for any BoruvkaOptions.Workers.
+func Decompose(g *Graph, root NodeID, opt BoruvkaOptions) (*Decomposition, error) {
+	return boruvka.Decompose(g, root, opt)
 }
 
 // Hierarchical-advice re-exports (internal/hier and the boruvka
-// contraction tower; see DESIGN.md §2.9). DecomposeOpt with
+// contraction tower; see DESIGN.md §2.9). Decompose with
 // BoruvkaOptions.KeepTower retains the full contraction tower; the
 // mst-hier-l schemes spend fewer advice bits at a coarser tower level
 // in exchange for a fixed number of extra decompression rounds; tiered
