@@ -25,9 +25,9 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 	if err != nil {
 		return err
 	}
-	// The flat Decomposition is complete before any visit runs, so the
-	// final-stage visits may read Root/ParentPort through b.d.
-	b.d = d
+	// The builder keeps no reference to d: its retained partitions are
+	// garbage once the last visit returns, before the advice strings are
+	// laid out.
 	finalPhase := min(b.sched.P+1, d.TotalPhases+1)
 	scratch := make([]*bitstring.BitString, b.workers)
 	for w := range scratch {
@@ -54,7 +54,7 @@ func (b *adviceBuilder) buildFused(root graph.NodeID) error {
 	finals := make([][]finalRec, b.workers)
 	width := b.sched.Width
 	err = d.Fragments(finalPhase, func(w int, f boruvka.Fragment) error {
-		value, port, err := b.finalString(f.Root, f.Size())
+		value, port, err := b.finalString(d, f.Root, f.Size())
 		if err != nil {
 			return err
 		}

@@ -30,13 +30,12 @@ import (
 //
 // The encoder is built for n = 10⁶-scale graphs: all per-node advice
 // strings live in two pre-sized bitstring arenas (no per-node growth),
-// the decomposition records only the ⌈log log n⌉ + 1 phases the packing
+// the decomposition retains only the ⌈log log n⌉ + 1 phases the packing
 // reads, and both the per-phase packing and the final-stage encoding run
 // in parallel over fragment ranges — every fragment writes a disjoint
 // node set, so the advice is byte-identical for any worker count.
 type adviceBuilder struct {
 	g       *graph.Graph
-	d       *boruvka.Decomposition
 	sched   Schedule
 	workers int
 	used    []int
@@ -229,13 +228,13 @@ func (b *adviceBuilder) packBits(i int, bfs []graph.NodeID, chooser graph.NodeID
 // holding the global root — plus the parent port (-1 for the root
 // fragment). size guards the Width-bit carrier capacity. Shared by the
 // reference and fused paths.
-func (b *adviceBuilder) finalString(root graph.NodeID, size int) (value uint64, port int, err error) {
+func (b *adviceBuilder) finalString(d *boruvka.Decomposition, root graph.NodeID, size int) (value uint64, port int, err error) {
 	width := b.sched.Width
 	port = -1
-	if root == b.d.Root {
+	if root == d.Root {
 		value = 1<<uint(width) - 1 // all-ones: "I am the root"
 	} else {
-		port = b.d.ParentPort[root]
+		port = d.ParentPort[root]
 		rank := b.g.GlobalRankAt(root, port)
 		value = uint64(rank)
 		if value >= 1<<uint(width)-1 {

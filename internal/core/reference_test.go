@@ -26,7 +26,6 @@ func buildAdviceReference(g *graph.Graph, root graph.NodeID, cap, workers int) (
 		if err != nil {
 			return nil, err
 		}
-		b.d = d
 		lastPacked := min(b.sched.P, d.TotalPhases)
 		for i := 1; i <= lastPacked; i++ {
 			frags, err := collectFragments(d, i)
@@ -41,7 +40,7 @@ func buildAdviceReference(g *graph.Graph, root graph.NodeID, cap, workers int) (
 		if err != nil {
 			return nil, err
 		}
-		if err := b.assignFinal(frags); err != nil {
+		if err := b.assignFinal(d, frags); err != nil {
 			return nil, err
 		}
 	}
@@ -93,7 +92,7 @@ func (b *adviceBuilder) packPhase(i int, frags []boruvka.Fragment) error {
 // remaining after phase P, one bit per BFS node, in parallel over
 // fragment ranges (fragments own disjoint carrier nodes). The carrier
 // lists live in one slab sized len(frags)·Width.
-func (b *adviceBuilder) assignFinal(frags []boruvka.Fragment) error {
+func (b *adviceBuilder) assignFinal(d *boruvka.Decomposition, frags []boruvka.Fragment) error {
 	width := b.sched.Width
 	b.frags = make([]FinalFragment, len(frags))
 	carrierSlab := make([]graph.NodeID, len(frags)*width)
@@ -104,7 +103,7 @@ func (b *adviceBuilder) assignFinal(frags []boruvka.Fragment) error {
 	return par.FirstFailure(workers, len(frags), func(_, lo, hi int) (int, error) {
 		for fi := lo; fi < hi; fi++ {
 			f := &frags[fi]
-			value, port, err := b.finalString(f.Root, f.Size())
+			value, port, err := b.finalString(d, f.Root, f.Size())
 			if err != nil {
 				return fi, err
 			}
