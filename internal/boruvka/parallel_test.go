@@ -54,7 +54,9 @@ func project(t *testing.T, d *Decomposition) observable {
 // goroutine onto one OS thread and so exercises completely different
 // steal schedules. Worker counts above GOMAXPROCS are included
 // deliberately — the contract is about the partition into ranges and
-// the merge semigroup, not the physical core count.
+// the merge semigroup, not the physical core count. n = 200 puts phase
+// 1 above the 64-fragment threshold below which Fragments visits on one
+// worker, so the parallel visit is on the wall too.
 func TestDecomposeParallelDeterminism(t *testing.T) {
 	variants := []struct {
 		name string
@@ -66,29 +68,31 @@ func TestDecomposeParallelDeterminism(t *testing.T) {
 	}
 	check := func(t *testing.T) {
 		for gi, fam := range gen.Names() {
-			g, err := gen.BuildSeeded(fam, 60, uint64(100+gi), gen.SeededOptions{Weights: gen.WeightsRandom})
-			if err != nil {
-				t.Fatalf("family %s: %v", fam, err)
-			}
-			for _, va := range variants {
-				opt := va.opt
-				opt.Workers = 1
-				ref, err := Decompose(g, 0, opt)
+			for _, n := range []int{60, 200} {
+				g, err := gen.BuildSeeded(fam, n, uint64(100+gi), gen.SeededOptions{Weights: gen.WeightsRandom})
 				if err != nil {
-					t.Fatalf("family %s %s workers=1: %v", fam, va.name, err)
+					t.Fatalf("family %s: %v", fam, err)
 				}
-				want := project(t, ref)
-				for _, workers := range []int{2, 3, 4, 8, 16} {
-					opt.Workers = workers
-					d, err := Decompose(g, 0, opt)
+				for _, va := range variants {
+					opt := va.opt
+					opt.Workers = 1
+					ref, err := Decompose(g, 0, opt)
 					if err != nil {
-						t.Fatalf("family %s %s workers=%d: %v", fam, va.name, workers, err)
+						t.Fatalf("family %s n=%d %s workers=1: %v", fam, n, va.name, err)
 					}
-					if !reflect.DeepEqual(project(t, d), want) {
-						t.Fatalf("family %s %s: decomposition differs at workers=%d", fam, va.name, workers)
-					}
-					if va.opt.KeepTower && !reflect.DeepEqual(d.Tower, ref.Tower) {
-						t.Fatalf("family %s: tower differs at workers=%d", fam, workers)
+					want := project(t, ref)
+					for _, workers := range []int{2, 3, 4, 8, 16} {
+						opt.Workers = workers
+						d, err := Decompose(g, 0, opt)
+						if err != nil {
+							t.Fatalf("family %s n=%d %s workers=%d: %v", fam, n, va.name, workers, err)
+						}
+						if !reflect.DeepEqual(project(t, d), want) {
+							t.Fatalf("family %s n=%d %s: decomposition differs at workers=%d", fam, n, va.name, workers)
+						}
+						if va.opt.KeepTower && !reflect.DeepEqual(d.Tower, ref.Tower) {
+							t.Fatalf("family %s n=%d: tower differs at workers=%d", fam, n, workers)
+						}
 					}
 				}
 			}
