@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"mstadvice/internal/graph"
@@ -157,6 +159,75 @@ func TestDecomposeKeepPhases(t *testing.T) {
 					!reflect.DeepEqual(d.ParentEdge, full.ParentEdge) ||
 					!reflect.DeepEqual(d.SelPhase, full.SelPhase) {
 					t.Fatalf("keep=%d workers=%d: whole-run outputs differ", keep, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestDecomposeStreamMatchesRich replays the streamed fragments of a
+// truncated, parallel run against the rich records of a fully retained
+// single-worker run collected up front: every phase, fragment,
+// annotation and selection must agree, each fragment must be visited
+// exactly once on a worker index inside the pool, and the BFS views must
+// stay valid after later visits reuse the decomposition — for a
+// retention budget the run outlives and for ones it does not (where the
+// spanning fragment is synthesised without a retained record), across
+// worker counts.
+func TestDecomposeStreamMatchesRich(t *testing.T) {
+	g := gen.RandomConnected(180, 540, 42, gen.SeededOptions{})
+	full, err := Decompose(g, 0, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rich, richFinal := phases(t, full)
+	for _, keep := range []int{0, 2, full.TotalPhases, full.TotalPhases + 1, full.TotalPhases + 5} {
+		for _, workers := range []int{1, 3, 8} {
+			d, err := Decompose(g, 0, Options{Workers: workers, KeepPhases: keep})
+			if err != nil {
+				t.Fatalf("keep=%d workers=%d: %v", keep, workers, err)
+			}
+			kept := full.TotalPhases
+			if keep > 0 {
+				kept = min(keep, full.TotalPhases)
+			}
+			// Visit every retained phase and the spanning fragment before
+			// comparing anything, keeping the BFS views uncopied.
+			streamed := make([][]Fragment, kept+1)
+			for pi := 1; pi <= kept+1; pi++ {
+				phase := pi
+				if pi == kept+1 {
+					phase = full.TotalPhases + 1
+				}
+				var mu sync.Mutex
+				err := d.Fragments(phase, func(w int, f Fragment) error {
+					if w < 0 || w >= workers {
+						return fmt.Errorf("phase %d fragment %d visited on worker %d of %d", phase, f.ID, w, workers)
+					}
+					mu.Lock()
+					streamed[pi-1] = append(streamed[pi-1], f)
+					mu.Unlock()
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("keep=%d workers=%d: %v", keep, workers, err)
+				}
+			}
+			for pi := 1; pi <= kept+1; pi++ {
+				got := streamed[pi-1]
+				slices.SortFunc(got, func(a, b Fragment) int { return int(a.ID) - int(b.ID) })
+				want := []Fragment{richFinal}
+				if pi <= kept {
+					want = rich[pi-1].Fragments
+				}
+				if len(got) != len(want) {
+					t.Fatalf("keep=%d workers=%d: visit %d streamed %d fragments, want %d", keep, workers, pi, len(got), len(want))
+				}
+				for fi := range want {
+					if !reflect.DeepEqual(got[fi], want[fi]) {
+						t.Fatalf("keep=%d workers=%d: visit %d fragment %d streamed %+v mismatches rich record %+v",
+							keep, workers, pi, fi, got[fi], want[fi])
+					}
 				}
 			}
 		}
